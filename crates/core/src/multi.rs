@@ -35,11 +35,16 @@
 //! ([`ProcessSet::register`] returns the slot). Per-stream state lives
 //! in a [`crate::slab::StreamSlab`]: a 24-byte hot mirror per stream
 //! (trust horizon, last sequence, publication state) in one dense array,
-//! with the detector itself — 192 bytes for an [`AnyDetector`] — and the
+//! with the detector itself — 256 bytes for an [`AnyDetector`] — and the
 //! key in parallel cold arrays. Scans ([`ProcessSet::counts`],
 //! [`ProcessSet::statuses`], [`ProcessSet::suspected`], the obs gauges)
 //! walk only the hot array; a heartbeat apply touches the hot mirror
-//! plus exactly one detector.
+//! plus exactly one detector. For the 2W-FD that detector is
+//! self-contained but for the long window's ring: both estimators and
+//! an `n1 = 1` window's sample live inside it, so one apply reads the
+//! index bucket, the hot slot, the detector's four adjacent lines, the
+//! one ring line where the long window evicts and inserts, and the
+//! wheel bucket it queues the new horizon on.
 //!
 //! Expiries are scheduled on a hierarchical [`crate::wheel::TimingWheel`]
 //! — `O(1)` insert and advance instead of the former binary heap's

@@ -3,7 +3,7 @@
 //! A fleet-scale [`crate::ProcessSet`] answers two very different kinds
 //! of questions: the *apply* path (one heartbeat → one detector update)
 //! and the *scan* path (`counts`, `statuses`, `suspected` — the obs
-//! gauges walk every stream). Storing 192-byte [`crate::AnyDetector`]
+//! gauges walk every stream). Storing 256-byte [`crate::AnyDetector`]
 //! entries in a `HashMap` serves both badly: every scan chases hash
 //! buckets across the heap and drags whole detectors through the cache
 //! to read one comparison's worth of state.

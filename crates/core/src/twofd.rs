@@ -27,10 +27,38 @@ use crate::detector::{Decision, FailureDetector, FreshnessState};
 use crate::estimator::ChenEstimator;
 use twofd_sim::time::{Nanos, Span};
 
+/// The per-window estimators. The two-window case — the detector the
+/// paper evaluates and every fleet stream runs — keeps both inline, so a
+/// heartbeat reaches them without leaving the detector; other window
+/// counts live on the heap. Everything else sees one slice.
+#[derive(Debug, Clone)]
+enum Estimators {
+    Two([ChenEstimator; 2]),
+    Many(Vec<ChenEstimator>),
+}
+
+impl Estimators {
+    #[inline]
+    fn as_slice(&self) -> &[ChenEstimator] {
+        match self {
+            Estimators::Two(pair) => pair,
+            Estimators::Many(all) => all,
+        }
+    }
+
+    #[inline]
+    fn as_mut_slice(&mut self) -> &mut [ChenEstimator] {
+        match self {
+            Estimators::Two(pair) => pair,
+            Estimators::Many(all) => all,
+        }
+    }
+}
+
 /// The generalized Multiple-Windows failure detector.
 #[derive(Debug, Clone)]
 pub struct MultiWindowFd {
-    estimators: Vec<ChenEstimator>,
+    estimators: Estimators,
     safety_margin: Span,
     state: FreshnessState,
 }
@@ -42,11 +70,20 @@ impl MultiWindowFd {
     /// If `windows` is empty or contains a zero size.
     pub fn new(windows: &[usize], interval: Span, safety_margin: Span) -> Self {
         assert!(!windows.is_empty(), "need at least one window");
+        let estimators = match *windows {
+            [n1, n2] => Estimators::Two([
+                ChenEstimator::new(n1, interval),
+                ChenEstimator::new(n2, interval),
+            ]),
+            _ => Estimators::Many(
+                windows
+                    .iter()
+                    .map(|&w| ChenEstimator::new(w, interval))
+                    .collect(),
+            ),
+        };
         MultiWindowFd {
-            estimators: windows
-                .iter()
-                .map(|&w| ChenEstimator::new(w, interval))
-                .collect(),
+            estimators,
             safety_margin,
             state: FreshnessState::default(),
         }
@@ -54,7 +91,11 @@ impl MultiWindowFd {
 
     /// The configured window sizes.
     pub fn windows(&self) -> Vec<usize> {
-        self.estimators.iter().map(|e| e.window()).collect()
+        self.estimators
+            .as_slice()
+            .iter()
+            .map(|e| e.window())
+            .collect()
     }
 
     /// The configured safety margin Δto.
@@ -66,6 +107,7 @@ impl MultiWindowFd {
     /// sweep experiment).
     pub fn expected_arrivals(&self) -> Vec<Option<Nanos>> {
         self.estimators
+            .as_slice()
             .iter()
             .map(|e| e.expected_next_arrival())
             .collect()
@@ -76,6 +118,7 @@ impl FailureDetector for MultiWindowFd {
     fn name(&self) -> String {
         let sizes: Vec<String> = self
             .estimators
+            .as_slice()
             .iter()
             .map(|e| e.window().to_string())
             .collect();
@@ -91,7 +134,7 @@ impl FailureDetector for MultiWindowFd {
             return None;
         }
         let mut max_ea = Nanos::ZERO;
-        for est in &mut self.estimators {
+        for est in self.estimators.as_mut_slice() {
             est.observe(seq, arrival);
             let ea = est
                 .expected_next_arrival()

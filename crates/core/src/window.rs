@@ -14,14 +14,25 @@
 //! All three are deliberately allocation-free after construction; a 2W-FD
 //! instance processes millions of heartbeats per replay and the
 //! per-heartbeat cost is what the micro-benchmarks in `twofd-bench`
-//! measure.
+//! measure. A capacity-1 window allocates nothing at all: its sample
+//! lives in the window.
 
 use std::collections::VecDeque;
+
+/// Where a window keeps its samples. A capacity-1 window (the 2W-FD's
+/// short window at the paper's `n1 = 1`) holds its one sample in the
+/// window itself, so pushing into it touches no heap line; larger
+/// windows own a ring buffer.
+#[derive(Debug, Clone)]
+enum Samples<T> {
+    One(Option<T>),
+    Ring(VecDeque<T>),
+}
 
 /// Fixed-capacity FIFO window over samples of type `T`.
 #[derive(Debug, Clone)]
 pub struct RingWindow<T> {
-    buf: VecDeque<T>,
+    samples: Samples<T>,
     capacity: usize,
 }
 
@@ -33,35 +44,49 @@ impl<T> RingWindow<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "window capacity must be positive");
         RingWindow {
-            buf: VecDeque::with_capacity(capacity),
+            samples: if capacity == 1 {
+                Samples::One(None)
+            } else {
+                Samples::Ring(VecDeque::with_capacity(capacity))
+            },
             capacity,
         }
     }
 
     /// Appends a sample, evicting and returning the oldest one if full.
+    #[inline]
     pub fn push(&mut self, value: T) -> Option<T> {
-        let evicted = if self.buf.len() == self.capacity {
-            self.buf.pop_front()
-        } else {
-            None
-        };
-        self.buf.push_back(value);
-        evicted
+        match &mut self.samples {
+            Samples::One(slot) => slot.replace(value),
+            Samples::Ring(buf) => {
+                let evicted = if buf.len() == self.capacity {
+                    buf.pop_front()
+                } else {
+                    None
+                };
+                buf.push_back(value);
+                evicted
+            }
+        }
     }
 
     /// Number of samples currently held.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.buf.len()
+        match &self.samples {
+            Samples::One(slot) => usize::from(slot.is_some()),
+            Samples::Ring(buf) => buf.len(),
+        }
     }
 
     /// True when no samples are held.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// True when at capacity.
     pub fn is_full(&self) -> bool {
-        self.buf.len() == self.capacity
+        self.len() == self.capacity
     }
 
     /// The configured capacity.
@@ -71,22 +96,35 @@ impl<T> RingWindow<T> {
 
     /// Iterates samples oldest-first.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.buf.iter()
+        let (one, ring) = match &self.samples {
+            Samples::One(slot) => (slot.as_ref(), None),
+            Samples::Ring(buf) => (None, Some(buf.iter())),
+        };
+        one.into_iter().chain(ring.into_iter().flatten())
     }
 
     /// Most recently pushed sample.
     pub fn newest(&self) -> Option<&T> {
-        self.buf.back()
+        match &self.samples {
+            Samples::One(slot) => slot.as_ref(),
+            Samples::Ring(buf) => buf.back(),
+        }
     }
 
     /// Oldest retained sample.
     pub fn oldest(&self) -> Option<&T> {
-        self.buf.front()
+        match &self.samples {
+            Samples::One(slot) => slot.as_ref(),
+            Samples::Ring(buf) => buf.front(),
+        }
     }
 
     /// Drops all samples.
     pub fn clear(&mut self) {
-        self.buf.clear();
+        match &mut self.samples {
+            Samples::One(slot) => *slot = None,
+            Samples::Ring(buf) => buf.clear(),
+        }
     }
 }
 

@@ -35,7 +35,12 @@
 //!   (`force_send_many`), so channel costs amortize across the batch.
 //!   The accounting identity is untouched: every heartbeat of a batch
 //!   is counted received, and every one the enqueue displaces (from the
-//!   queue or from the batch's own overflow) is counted dropped.
+//!   queue or from the batch's own overflow) is counted dropped. The
+//!   worker mirrors it on the way out: one pass takes the shard lock,
+//!   dequeues up to `MAX_BATCH` heartbeats with one channel lock
+//!   acquisition (`try_recv_many`), applies them back to back, and
+//!   bumps `applied`/`stale` once — the queue lock and the counter
+//!   lines the producer polls are touched per pass, not per heartbeat.
 //! * **Deadline-driven sweeping** — each worker advances its shard's
 //!   hierarchical timing wheel ([`twofd_core::wheel`]) after draining a
 //!   batch, harvesting every expired horizon in one `O(1)`-amortized
@@ -223,9 +228,9 @@ impl Default for ShardConfig {
 /// wire frames) carry incarnation 0.
 pub type Job = (u64, u64, Nanos, u32);
 
-/// Largest number of heartbeats a worker applies under one lock
-/// acquisition. Batching amortizes locking; the cap keeps queries from
-/// starving under sustained floods.
+/// Largest number of heartbeats a worker dequeues and applies under one
+/// lock acquisition (and the size of its inbox). Batching amortizes
+/// locking; the cap keeps queries from starving under sustained floods.
 const MAX_BATCH: usize = 512;
 
 /// Largest slice [`ShardRuntime::ingest_batch`] groups in one pass; the
@@ -1186,13 +1191,18 @@ fn shard_worker(
     clock: Arc<dyn TimeSource>,
     sweep_interval: Duration,
 ) {
-    // hotpath:allow(alloc) — worker startup: the event and scratch
-    // vectors are allocated once per worker thread and reused (drained,
-    // never dropped) across every pass of the loop below.
+    // hotpath:allow(alloc) — worker startup: the event, scratch and
+    // inbox vectors are allocated once per worker thread and reused
+    // (drained, never dropped) across every pass of the loop below; the
+    // inbox never holds more than the `MAX_BATCH` it is sized for.
     let mut events: Vec<FleetEvent> = Vec::new();
     // Heartbeats applied this pass, kept for the hot-obs update; only
     // populated when the extras are enabled.
     let mut scratch: Vec<(Job, Option<Decision>)> = Vec::new();
+    // This pass's heartbeats, dequeued in one go. A job received while
+    // parked waits here for the next pass, so it is applied under the
+    // same lock (and before the same sweep) as the rest of its batch.
+    let mut inbox: Vec<Job> = Vec::with_capacity(MAX_BATCH);
     let track = shared.hot.is_some();
     // Transitions only matter to the hot state when QoS trackers exist;
     // a jitter-only configuration skips the per-event map walk.
@@ -1202,18 +1212,13 @@ fn shard_worker(
         .hot
         .as_ref()
         .is_some_and(|hot| hot.lock().qos.is_some());
-    // A job received while parked, carried into the next pass so it is
-    // applied under the same lock (and before the same sweep) as the
-    // rest of its batch.
-    let mut pending: Option<Job> = None;
     loop {
         // Read the sweep time *before* draining: anything enqueued before
         // the clock reached `now` is applied first, so the sweep can
         // never expire a horizon that a queued heartbeat extends.
         let now = clock.now();
-        let mut disconnected = false;
-        let mut drained_all = true;
-        let mut batch = 0usize;
+        let disconnected;
+        let batch;
         let next_expiry;
         {
             // hotpath:allow(block) — this per-shard mutex IS the
@@ -1222,36 +1227,37 @@ fn shard_worker(
             // sections, held for at most MAX_BATCH applies + one sweep
             // (parking_lot fast path is one CAS when uncontended).
             let mut set = shared.set.lock();
-            if let Some(job) = pending.take() {
-                let decision = apply(&mut set, &shared, job, &mut events);
+            // One queue lock per pass, taken under the set lock so that
+            // a caller's `sweep_now` cannot run between a heartbeat
+            // leaving the queue and its apply.
+            let room = MAX_BATCH - inbox.len();
+            disconnected = matches!(
+                rx.try_recv_many(&mut inbox, room),
+                Err(TryRecvError::Disconnected)
+            );
+            batch = inbox.len();
+            let mut stale = 0u64;
+            for job in inbox.drain(..) {
+                let (stream, seq, arrival, incarnation) = job;
+                let decision =
+                    set.on_heartbeat_incarnated(stream, incarnation, seq, arrival, &mut events);
+                stale += u64::from(decision.is_none());
                 if track {
                     scratch.push((job, decision));
                 }
-                batch += 1;
             }
-            loop {
-                if batch >= MAX_BATCH {
-                    // Queue may still hold heartbeats: sweeping now
-                    // could mis-order against them. Sweep next pass.
-                    drained_all = rx.is_empty();
-                    break;
-                }
-                match rx.try_recv() {
-                    Ok(job) => {
-                        let decision = apply(&mut set, &shared, job, &mut events);
-                        if track {
-                            scratch.push((job, decision));
-                        }
-                        batch += 1;
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        disconnected = true;
-                        break;
-                    }
-                }
+            // One update per pass: the producer and `flush` poll these
+            // lines, so a bump per heartbeat would bounce them per
+            // heartbeat.
+            if batch > 0 {
+                shared.applied.add(batch as u64);
             }
-            if drained_all {
+            if stale > 0 {
+                shared.stale.add(stale);
+            }
+            // A full pass may have left heartbeats queued: sweeping now
+            // could mis-order against them. Sweep next pass.
+            if batch < MAX_BATCH || rx.is_empty() {
                 // xtask:allow(wall_clock) — measures sweep duration for
                 // the sweep_hist metric; never feeds detector decisions.
                 let sweep_started = std::time::Instant::now();
@@ -1315,34 +1321,13 @@ fn shard_worker(
             // processing immediately instead of on the next poll tick.
             // A disconnect while parked falls through to one final pass
             // (drain + sweep) before the loop observes it and exits.
-            match park_duration(next_expiry, now, sweep_interval) {
-                Some(timeout) => {
-                    if let Ok(job) = rx.recv_timeout(timeout) {
-                        pending = Some(job);
-                    }
-                }
-                None => {
-                    if let Ok(job) = rx.recv() {
-                        pending = Some(job);
-                    }
-                }
-            }
+            let woken_by = match park_duration(next_expiry, now, sweep_interval) {
+                Some(timeout) => rx.recv_timeout(timeout).ok(),
+                None => rx.recv().ok(),
+            };
+            inbox.extend(woken_by);
         }
     }
-}
-
-fn apply(
-    set: &mut ProcessSet<u64, DetectorPlan>,
-    shared: &ShardShared,
-    (stream, seq, arrival, incarnation): Job,
-    events: &mut Vec<FleetEvent>,
-) -> Option<Decision> {
-    let decision = set.on_heartbeat_incarnated(stream, incarnation, seq, arrival, events);
-    if decision.is_none() {
-        shared.stale.inc();
-    }
-    shared.applied.inc();
-    decision
 }
 
 fn publish(

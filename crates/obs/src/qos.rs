@@ -193,6 +193,9 @@ pub struct QosTracker {
     /// First heartbeat arrival — observation starts here, like the
     /// replay pipeline's `start = first arrival`.
     first_arrival: Option<Nanos>,
+    /// Latest fresh arrival — what `on_heartbeat` has pruned against,
+    /// and therefore the earliest instant an evaluation can be "as of".
+    latest_arrival: Nanos,
     /// `(arrival, worst_td_secs)` per fresh heartbeat, pruned to the
     /// window.
     td_samples: VecDeque<(Nanos, f64)>,
@@ -225,6 +228,7 @@ impl QosTracker {
         QosTracker {
             config,
             first_arrival: None,
+            latest_arrival: Nanos::ZERO,
             td_samples: VecDeque::new(),
             closed: VecDeque::new(),
             open_since: None,
@@ -278,6 +282,12 @@ impl QosTracker {
             }
         };
         self.td_samples.push_back((arrival, worst));
+        // Age the window out here too, not only when scraped, or a
+        // tracker nobody scrapes keeps every sample it ever saw. No
+        // later evaluation can want what this drops: `metrics_at` never
+        // evaluates as of an instant before the latest arrival.
+        self.latest_arrival = self.latest_arrival.max(arrival);
+        self.prune(self.window_start(self.latest_arrival));
         // Replay convention: if the very first heartbeat arrives with
         // its freshness point already in the past, the stream is
         // suspected from that first arrival (never from time zero).
@@ -341,11 +351,16 @@ impl QosTracker {
     /// The windowed QoS estimates as of `now` — the same
     /// [`QosMetrics`] struct (and the same arithmetic) as the offline
     /// pipeline. Prunes state older than the window as a side effect.
+    /// A `now` behind the latest heartbeat's arrival (a caller whose
+    /// clock lags the one the arrivals were stamped on) is taken as
+    /// that arrival: the tracker has already aged its window up to
+    /// there, scraped or not.
     pub fn metrics_at(&mut self, now: Nanos) -> QosMetrics {
         let Some(first) = self.first_arrival else {
             return QosMetrics::from_mistakes(&[], Span::ZERO, 0.0, 0, self.config.interval);
         };
-        let window_start = Nanos(now.0.saturating_sub(self.config.window.0));
+        let now = now.max(self.latest_arrival);
+        let window_start = self.window_start(now);
         self.prune(window_start);
 
         let start = first.max(window_start);
@@ -414,6 +429,12 @@ impl QosTracker {
                 judge(&spec, &metrics)
             }
         }
+    }
+
+    /// Start of the evaluation window ending at `now` (time zero for a
+    /// cumulative tracker, which therefore never prunes).
+    fn window_start(&self, now: Nanos) -> Nanos {
+        Nanos(now.0.saturating_sub(self.config.window.0))
     }
 
     fn prune(&mut self, window_start: Nanos) {
@@ -521,6 +542,60 @@ mod tests {
         let m = t.metrics_at(Nanos(20 * SEC));
         assert_eq!(m.mistakes, 0);
         assert!((m.query_accuracy - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn unscraped_sliding_tracker_stays_bounded() {
+        let window = 10u64; // in heartbeat intervals
+        let mut t = QosTracker::new(QosTrackerConfig {
+            spec: None,
+            interval: Span(SEC),
+            window: Span(window * SEC),
+            origin: QosOrigin::Nominal,
+        });
+        // An early mistake, then a long quiet run — and never a scrape.
+        t.on_heartbeat(0, Nanos(0), decision(Nanos(3 * SEC / 2)));
+        t.on_transition(FdOutput::Trust, Nanos(0));
+        t.on_transition(FdOutput::Suspect, Nanos(3 * SEC / 2));
+        t.on_heartbeat(2, Nanos(2 * SEC), decision(Nanos(7 * SEC / 2)));
+        t.on_transition(FdOutput::Trust, Nanos(2 * SEC));
+        for seq in 3..5_000u64 {
+            t.on_heartbeat(
+                seq,
+                Nanos(seq * SEC),
+                decision(Nanos(seq * SEC + 3 * SEC / 2)),
+            );
+            // window ÷ Δi, plus the sample sitting on the window's edge.
+            assert!(t.td_samples.len() as u64 <= window + 1, "seq {seq}");
+        }
+        assert!(t.closed.is_empty(), "the aged-out mistake was kept");
+        // What is left is exactly what a scrape would have kept.
+        let m = t.metrics_at(Nanos(4_999 * SEC + SEC / 4));
+        assert_eq!(m.mistakes, 0);
+        assert!((m.worst_detection_time - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn evaluation_behind_the_latest_arrival_is_taken_as_that_arrival() {
+        let mut t = QosTracker::new(QosTrackerConfig {
+            spec: None,
+            interval: Span(SEC),
+            window: Span(10 * SEC),
+            origin: QosOrigin::Nominal,
+        });
+        for seq in 0..30u64 {
+            t.on_heartbeat(
+                seq,
+                Nanos(seq * SEC),
+                decision(Nanos(seq * SEC + 3 * SEC / 2)),
+            );
+        }
+        // The window `[−5 s, 5 s]` was aged out heartbeats ago; a lagging
+        // caller reads the window ending at the last arrival instead of
+        // a half-pruned one.
+        let lagging = t.metrics_at(Nanos(5 * SEC));
+        assert_eq!(lagging, t.metrics_at(Nanos(29 * SEC)));
+        assert!((lagging.observed_secs - 10.0).abs() < 1e-12);
     }
 
     #[test]

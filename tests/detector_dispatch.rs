@@ -120,6 +120,42 @@ proptest! {
         }
     }
 
+    /// Where a 2W-FD keeps its estimators is not observable: the
+    /// two-window spec (estimators inline), the multi-window spec given
+    /// the same two sizes, and two separate Chen detectors combined by
+    /// `max` (Eq. 12) return the same freshness point, bit for bit, for
+    /// every heartbeat — including `n1 = 1` (sample held in the window
+    /// itself), equal sizes, and long windows the trace never fills.
+    #[test]
+    fn two_window_storages_agree_bit_for_bit(
+        trace in arb_trace(),
+        tuning in 0.0f64..2.0,
+        n1 in 1usize..4,
+        n2 in 1usize..2000,
+    ) {
+        let interval = trace.interval;
+        let margin = Span::from_secs_f64(tuning);
+        let mut two = DetectorSpec::TwoWindow { n1, n2 }.build_any(interval, tuning);
+        let mut multi = DetectorSpec::MultiWindow { windows: vec![n1, n2] }
+            .build_any(interval, tuning);
+        let mut short = ChenFd::new(n1, interval, margin);
+        let mut long = ChenFd::new(n2, interval, margin);
+        for a in trace.arrivals() {
+            let by_max = match (
+                short.on_heartbeat(a.seq, a.at),
+                long.on_heartbeat(a.seq, a.at),
+            ) {
+                (Some(s), Some(l)) => Some(s.trust_until.max(l.trust_until)),
+                (None, None) => None,
+                mixed => panic!("Chen detectors disagree on freshness: {mixed:?}"),
+            };
+            let t = two.on_heartbeat(a.seq, a.at).map(|d| d.trust_until);
+            let m = multi.on_heartbeat(a.seq, a.at).map(|d| d.trust_until);
+            prop_assert_eq!(t, by_max, "2w-fd({},{}) vs max of Chen at seq {}", n1, n2, a.seq);
+            prop_assert_eq!(m, by_max, "mw-fd({},{}) vs max of Chen at seq {}", n1, n2, a.seq);
+        }
+    }
+
     /// `DetectorConfig` reaches the same timeline through both of its
     /// constructors — `build()` (inline) and `build_boxed()` (compat).
     #[test]
@@ -140,4 +176,17 @@ proptest! {
         let b = replay(boxed.as_mut(), &trace);
         prop_assert_eq!(a, b);
     }
+}
+
+/// One `AnyDetector` per monitored stream sits in the shard's slab, and
+/// a heartbeat pulls all of it through the cache: four lines today, the
+/// 2W-FD's two inline estimators being the largest variant. Growing
+/// past that should be decided, not discovered.
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn any_detector_fits_four_cache_lines() {
+    let size = std::mem::size_of::<AnyDetector>();
+    assert!(size <= 256, "AnyDetector grew to {size} bytes");
+    // The slab stores `Option<AnyDetector>`; the vacancy must stay free.
+    assert_eq!(std::mem::size_of::<Option<AnyDetector>>(), size);
 }

@@ -8,13 +8,18 @@
 //! to floating-point noise — T_D, the mistake rate, T_M and P_A alike.
 //! Any drift here means the live `/metrics` numbers are lying about what
 //! a replay of the same trace would report.
+//!
+//! A sliding-window tracker ages its state out on every heartbeat, not
+//! only when something scrapes it; the second test holds that to the
+//! same oracle restricted to the last window, whether or not the
+//! tracker was scraped along the way.
 
 use std::sync::Arc;
 use std::time::Duration;
-use twofd::core::{replay, DetectorConfig, DetectorSpec, QosMetrics};
+use twofd::core::{replay, DetectorConfig, DetectorSpec, FailureDetector, Mistake, QosMetrics};
 use twofd::net::{ManualClock, ObsOptions, ShardConfig, ShardRuntime, TimeSource};
 use twofd::obs::{QosPlan, QosTrackerConfig};
-use twofd::sim::Span;
+use twofd::sim::{Nanos, Span};
 use twofd::trace::{Trace, WanTraceConfig};
 
 const SHORT_WINDOW: usize = 8;
@@ -36,8 +41,13 @@ fn detector_config(interval: Span) -> DetectorConfig {
 
 /// Drives `trace` through a QoS-tracking shard runtime under the
 /// determinism protocol and snapshots the online metrics at the trace
-/// horizon.
-fn online_metrics(trace: &Trace) -> QosMetrics {
+/// horizon — after scraping them every `scrape_every` arrivals on the
+/// way there, if asked to.
+fn online_metrics(
+    trace: &Trace,
+    tracker: QosTrackerConfig,
+    scrape_every: Option<usize>,
+) -> QosMetrics {
     let clock = Arc::new(ManualClock::new());
     let rt = ShardRuntime::new(
         ShardConfig {
@@ -48,21 +58,62 @@ fn online_metrics(trace: &Trace) -> QosMetrics {
             event_capacity: 1 << 16,
             obs: ObsOptions {
                 jitter: false,
-                qos: Some(QosPlan::Uniform(QosTrackerConfig::cumulative(
-                    trace.interval,
-                ))),
+                qos: Some(QosPlan::Uniform(tracker)),
             },
         },
         clock.clone() as Arc<dyn TimeSource>,
     );
 
-    for a in trace.arrivals() {
+    for (i, a) in trace.arrivals().into_iter().enumerate() {
         clock.advance_to(a.at);
         rt.ingest(9, a.seq, a.at);
+        if scrape_every.is_some_and(|every| i % every == every - 1) {
+            rt.flush();
+            rt.qos_metrics(9).expect("stream 9 is tracked");
+        }
     }
     rt.flush();
     clock.advance_to(trace.end_time());
     rt.qos_metrics(9).expect("stream 9 is tracked")
+}
+
+/// The offline pipeline's numbers for the last `window` of `trace`: the
+/// replay's mistakes clipped to `[horizon − window, horizon]` and the
+/// detection-time samples of the heartbeats that arrived inside it.
+fn offline_window_metrics(trace: &Trace, window: Span) -> QosMetrics {
+    let whole = replay(&mut detector_config(trace.interval).build(), trace);
+    let end = whole.horizon;
+    let start = whole
+        .first_arrival
+        .max(Nanos(end.0.saturating_sub(window.0)));
+    let mistakes: Vec<Mistake> = whole
+        .mistakes
+        .iter()
+        .map(|m| Mistake {
+            start: m.start.max(start),
+            end: m.end.min(end),
+            ..*m
+        })
+        .filter(|m| m.start < m.end)
+        .collect();
+    let mut fd = detector_config(trace.interval).build();
+    let (mut fresh, mut sum_worst_td) = (0u64, 0.0f64);
+    for a in trace.arrivals() {
+        match fd.on_heartbeat(a.seq, a.at) {
+            Some(d) if a.at >= start => {
+                fresh += 1;
+                sum_worst_td += d.trust_until.saturating_since(a.send).as_secs_f64();
+            }
+            _ => {}
+        }
+    }
+    QosMetrics::from_mistakes(
+        &mistakes,
+        end.saturating_since(start),
+        sum_worst_td,
+        fresh,
+        trace.interval,
+    )
 }
 
 fn assert_close(axis: &str, online: f64, offline: f64, seed: u64) {
@@ -83,7 +134,7 @@ fn online_tracker_matches_offline_replay_metrics() {
         let offline = replay(&mut fd, &trace).metrics();
         saw_mistakes |= offline.mistakes > 0;
 
-        let online = online_metrics(&trace);
+        let online = online_metrics(&trace, QosTrackerConfig::cumulative(trace.interval), None);
 
         assert_eq!(
             online.mistakes, offline.mistakes,
@@ -102,5 +153,59 @@ fn online_tracker_matches_offline_replay_metrics() {
     assert!(
         saw_mistakes,
         "no seed produced a mistake; the differential never exercised the mistake paths"
+    );
+}
+
+#[test]
+fn sliding_window_tracker_matches_the_offline_window_scraped_or_not() {
+    let mut saw_mistakes = false;
+    for seed in [3u64, 17, 40, 71, 104] {
+        let trace = WanTraceConfig::small(400, seed).generate();
+        // A quarter of the trace: most of what the tracker saw has to
+        // have aged out by the horizon.
+        let window = Span(100 * trace.interval.0);
+        let tracker = QosTrackerConfig {
+            window,
+            ..QosTrackerConfig::cumulative(trace.interval)
+        };
+
+        let offline = offline_window_metrics(&trace, window);
+        saw_mistakes |= offline.mistakes > 0;
+
+        let unscraped = online_metrics(&trace, tracker, None);
+        let scraped = online_metrics(&trace, tracker, Some(7));
+        assert_eq!(
+            scraped, unscraped,
+            "seed {seed}: scraping along the way changed the final window"
+        );
+
+        assert_eq!(
+            unscraped.mistakes, offline.mistakes,
+            "seed {seed}: mistake counts diverged"
+        );
+        assert_close(
+            "T_D",
+            unscraped.detection_time,
+            offline.detection_time,
+            seed,
+        );
+        assert_close("λ_M", unscraped.mistake_rate, offline.mistake_rate, seed);
+        assert_close(
+            "T_M",
+            unscraped.avg_mistake_duration,
+            offline.avg_mistake_duration,
+            seed,
+        );
+        assert_close(
+            "P_A",
+            unscraped.query_accuracy,
+            offline.query_accuracy,
+            seed,
+        );
+        assert_close("span", unscraped.observed_secs, offline.observed_secs, seed);
+    }
+    assert!(
+        saw_mistakes,
+        "no seed had a mistake in its last window; the clipping paths never ran"
     );
 }

@@ -14,7 +14,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread::sleep;
 use std::time::{Duration, Instant};
-use twofd::core::{replay, DetectorConfig, DetectorSpec, FdOutput, Timeline, TwoWindowFd};
+use twofd::core::{
+    replay, DetectorConfig, DetectorSpec, FdOutput, Timeline, TransitionKind, TwoWindowFd,
+};
 use twofd::net::{
     FleetMonitor, HeartbeatSender, Job, ManualClock, ShardConfig, ShardRuntime, TimeSource,
 };
@@ -282,6 +284,133 @@ fn batched_ingest_matches_per_heartbeat_ingest_event_for_event() {
                 "shard {i} received different loads on the two paths"
             );
         }
+    }
+}
+
+/// A worker pass applies everything it dequeued back to back under one
+/// lock hold, so one pass can carry many heartbeats of the *same*
+/// stream. That must be invisible too: a single `ingest_batch` holding a
+/// stream's whole history — in-order beats, a duplicated (stale)
+/// sequence number, a restart under a bumped incarnation and a
+/// straggler from the dead boot — yields the timeline of the same jobs
+/// fed one per pass, which is a bare `ProcessSet`'s, which up to the
+/// restart is the replay oracle's.
+#[test]
+fn one_pass_carrying_a_streams_whole_history_matches_per_job_ingest() {
+    const STREAM: u64 = 7;
+    for seed in [11u64, 29] {
+        let trace = WanTraceConfig::small(150, seed).generate();
+        let arrivals = trace.arrivals();
+
+        // First boot: the trace, with every 20th heartbeat delivered
+        // twice (the copy is stale by the time it is applied).
+        let mut jobs: Vec<Job> = Vec::new();
+        for (i, a) in arrivals.iter().enumerate() {
+            jobs.push((STREAM, a.seq, a.at, 0));
+            if i % 20 == 19 {
+                jobs.push((STREAM, a.seq, a.at, 0));
+            }
+        }
+        // Second boot, 1 ms after the last arrival: sequence numbers
+        // restart under incarnation 1, and one frame of the dead boot
+        // turns up late among them.
+        let restart = Nanos(arrivals.last().unwrap().at.0 + 1_000_000);
+        let step = trace.interval.0;
+        for seq in 1..=40u64 {
+            jobs.push((STREAM, seq, Nanos(restart.0 + (seq - 1) * step), 1));
+            if seq == 5 {
+                jobs.push((STREAM, 10_000, Nanos(restart.0 + 4 * step), 0));
+            }
+        }
+        let horizon = Nanos(restart.0 + 60 * step);
+        assert!(jobs.len() < 512, "the batch must fit one worker pass");
+
+        // The sequential reference.
+        let mut reference = twofd::core::ProcessSet::new(detector_config(trace.interval));
+        let mut expected = Vec::new();
+        let mut expected_stale = 0u64;
+        for &(stream, seq, at, incarnation) in &jobs {
+            let d = reference.on_heartbeat_incarnated(stream, incarnation, seq, at, &mut expected);
+            expected_stale += u64::from(d.is_none());
+        }
+        reference.sweep(horizon, &mut expected);
+        let expected: Vec<_> = expected.iter().map(|e| (e.kind, e.at)).collect();
+        assert!(
+            expected_stale >= 8,
+            "duplicates and the straggler are stale"
+        );
+        assert_eq!(
+            expected
+                .iter()
+                .filter(|(k, _)| *k == TransitionKind::Recovered)
+                .count(),
+            1
+        );
+
+        // The clock stays at zero while heartbeats are in flight (no
+        // sweep can fire), then jumps to the horizon for one caller-side
+        // sweep that retires the second boot's last freshness point.
+        let run = |feed: &dyn Fn(&ShardRuntime)| {
+            let clock = Arc::new(ManualClock::new());
+            let rt = ShardRuntime::new(
+                ShardConfig {
+                    detector: detector_config(trace.interval).into(),
+                    n_shards: 1,
+                    queue_capacity: 4096,
+                    sweep_interval: Duration::from_millis(1),
+                    event_capacity: 1 << 16,
+                    ..ShardConfig::default()
+                },
+                clock.clone() as Arc<dyn TimeSource>,
+            );
+            feed(&rt);
+            rt.flush();
+            clock.advance_to(horizon);
+            rt.sweep_now();
+            let mut got = Vec::new();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while got.len() < expected.len() && Instant::now() < deadline {
+                got.extend(rt.events().try_iter().map(|e| (e.kind, e.at)));
+                sleep(Duration::from_millis(1));
+            }
+            // Grace pass: catch any extra events wrongly emitted.
+            sleep(Duration::from_millis(20));
+            got.extend(rt.events().try_iter().map(|e| (e.kind, e.at)));
+            // The worker publishes after releasing the shard lock, so
+            // its last events may trail the caller-side sweep's.
+            got.sort_by_key(|&(_, at)| at);
+            let stats = rt.stats();
+            assert_eq!(stats.applied(), jobs.len() as u64);
+            assert_eq!(stats.dropped(), 0);
+            assert_eq!(rt.events_dropped(), 0);
+            (got, stats.stale())
+        };
+        // One enqueue (single shard: one `force_send_many`), so the
+        // worker finds all of it, or none of it, when it looks.
+        let (one_pass, stale_one_pass) = run(&|rt| rt.ingest_batch(&jobs));
+        let (per_job, stale_per_job) = run(&|rt| {
+            for &(stream, seq, at, incarnation) in &jobs {
+                rt.ingest_incarnated(stream, seq, at, incarnation);
+                rt.flush();
+            }
+        });
+        assert_eq!(one_pass, expected, "seed {seed}: one pass vs ProcessSet");
+        assert_eq!(per_job, expected, "seed {seed}: per job vs ProcessSet");
+        assert_eq!(stale_one_pass, expected_stale);
+        assert_eq!(stale_per_job, expected_stale);
+
+        // Up to the restart nothing but crash-stop traffic was seen, so
+        // that stretch is also the replay oracle's timeline.
+        let oracle: Vec<_> = expected_events(&trace)
+            .into_iter()
+            .filter(|&(_, at)| at < restart)
+            .collect();
+        let first_boot: Vec<_> = one_pass
+            .iter()
+            .filter(|&&(_, at)| at < restart)
+            .map(|&(kind, at)| (kind.output(), at))
+            .collect();
+        assert_eq!(first_boot, oracle, "seed {seed}: first boot vs replay");
     }
 }
 
