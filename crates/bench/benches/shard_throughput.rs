@@ -160,9 +160,12 @@ where
             scans
         })
     });
+    let mut events = Vec::new();
     let t0 = Instant::now();
     for &(stream, seq, at) in jobs {
-        set.lock().on_heartbeat(stream, seq, at);
+        events.clear();
+        set.lock()
+            .on_heartbeat_incarnated(stream, 0, seq, at, &mut events);
     }
     let elapsed = t0.elapsed();
     stop.store(true, Ordering::Relaxed);
@@ -179,11 +182,12 @@ where
     B: DetectorBuilder<u64>,
 {
     let mut set = ProcessSet::new(builder);
-    for &(stream, seq, at) in jobs {
-        set.on_heartbeat(stream, seq, at);
-    }
-    let horizon = jobs.last().unwrap().2 + Span::from_secs(60);
     let mut events = Vec::new();
+    for &(stream, seq, at) in jobs {
+        set.on_heartbeat_incarnated(stream, 0, seq, at, &mut events);
+    }
+    events.clear();
+    let horizon = jobs.last().unwrap().2 + Span::from_secs(60);
     let t0 = Instant::now();
     for _ in 0..sweeps {
         // counts() walks every entry's current decision — the same
@@ -208,8 +212,8 @@ enum ClockMode {
 
 /// The sharded runtime. With `observed`, a reader drains the event
 /// channel and polls `stats()` throughout. `batch` sets the handoff
-/// granularity: 1 = one `ingest` call per heartbeat, >1 = `ingest_batch`
-/// over chunks of that size (the batched-intake thread's shape). Returns
+/// granularity: `ingest_batch` over chunks of that size (64 is the
+/// batched-intake thread's shape, 1 a heartbeat per call). Returns
 /// (intake, end-to-end) rates; intake is the socket-thread handoff rate,
 /// end-to-end includes `flush()` (all detector work done).
 fn sharded(
@@ -258,20 +262,11 @@ fn sharded(
     let jobs4: Vec<Job> = jobs.iter().map(|&(s, q, at)| (s, q, at, 0)).collect();
 
     let t0 = Instant::now();
-    if batch <= 1 {
-        for &(stream, seq, at) in jobs {
-            if clock_mode == ClockMode::Live {
-                clock.advance_to(at);
-            }
-            rt.ingest(stream, seq, at);
+    for chunk in jobs4.chunks(batch) {
+        if clock_mode == ClockMode::Live {
+            clock.advance_to(chunk.last().unwrap().2);
         }
-    } else {
-        for chunk in jobs4.chunks(batch) {
-            if clock_mode == ClockMode::Live {
-                clock.advance_to(chunk.last().unwrap().2);
-            }
-            rt.ingest_batch(chunk);
-        }
+        rt.ingest_batch(chunk);
     }
     let ingest_elapsed = t0.elapsed();
     rt.flush();
@@ -415,27 +410,13 @@ fn main() {
         (e2e_plain / e2e_instr - 1.0) * 100.0
     );
 
-    // Handoff granularity: the same workload pushed one `ingest` call
-    // per heartbeat vs `ingest_batch` over intake-sized chunks. The
-    // batched path takes each shard's queue lock once per group and
-    // wakes its worker at most once per batch, which is exactly what the
-    // `recvmmsg` intake thread does with live traffic. (The seed
-    // measured a "workers deferred" variant here by stalling the sweep
-    // loop; deadline parking retired that trick — every enqueue now
-    // wakes the owning worker, so this is the honest comparison.)
-    println!("\n# handoff: per-heartbeat ingest vs ingest_batch (no reader, pinned clock)");
+    // Handoff: the same workload pushed through `ingest_batch` over
+    // intake-sized chunks. The batched path takes each shard's queue
+    // lock once per group and wakes its worker at most once per batch,
+    // which is exactly what the `recvmmsg` intake thread does with live
+    // traffic.
+    println!("\n# handoff: ingest_batch over 64-job chunks (no reader, pinned clock)");
     for n_shards in [4usize, 8] {
-        let (per_hb, _) = best_of(|| {
-            sharded(
-                &jobs,
-                n_shards,
-                false,
-                live_sweep,
-                ObsOptions::default(),
-                ClockMode::Pinned,
-                1,
-            )
-        });
         let (batched, _) = best_of(|| {
             sharded(
                 &jobs,
@@ -447,10 +428,7 @@ fn main() {
                 64,
             )
         });
-        println!(
-            "{n_shards} shard(s): per-hb {per_hb:>12.0} hb/s | batch-64 {batched:>12.0} hb/s ({:>5.2}x)",
-            batched / per_hb,
-        );
+        println!("{n_shards} shard(s): batch-64 {batched:>12.0} hb/s");
     }
 
     // The number the batching work exists for: observed intake on the

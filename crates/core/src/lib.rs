@@ -39,7 +39,6 @@ pub mod chen;
 pub mod detector;
 pub mod ed;
 pub mod estimator;
-pub mod heap;
 pub mod impact;
 pub mod math;
 pub mod metrics;
@@ -61,7 +60,6 @@ pub use chen::ChenFd;
 pub use detector::{Decision, FailureDetector, FdOutput};
 pub use ed::{EdConfig, EdFd};
 pub use estimator::ChenEstimator;
-pub use heap::HeapProcessSet;
 pub use impact::ImpactFd;
 pub use metrics::{mistakes_by_segment, Mistake, QosMetrics};
 pub use multi::{

@@ -54,10 +54,9 @@
 //! its generation matches (recycled slots bump the generation, so a
 //! re-registered stream can never inherit its predecessor's expiries).
 //! [`ProcessSet::next_expiry`] prunes dead entries before reporting, so
-//! the sweeper's park deadline always belongs to a live stream.
-//!
-//! The heap-based original survives as [`crate::HeapProcessSet`], the
-//! differential oracle for this implementation.
+//! the sweeper's park deadline always belongs to a live stream. The
+//! heap-based original is the differential oracle of
+//! `tests/shard_equivalence.rs` (`tests/support/heap_oracle.rs`).
 
 use crate::detector::{Decision, FailureDetector, FdOutput};
 use crate::slab::StreamSlab;
@@ -242,19 +241,10 @@ where
         }
     }
 
-    /// Feeds a heartbeat from process `key`, auto-registering unknown
-    /// processes. Returns the decision (None for stale heartbeats).
-    ///
-    /// Use [`ProcessSet::on_heartbeat_with_events`] to also collect the
-    /// output transitions this heartbeat caused.
-    pub fn on_heartbeat(&mut self, key: K, seq: u64, arrival: Nanos) -> Option<Decision> {
-        let mut scratch = Vec::new();
-        self.on_heartbeat_with_events(key, seq, arrival, &mut scratch)
-    }
-
-    /// Feeds a crash-stop heartbeat (incarnation 0) and appends any
-    /// resulting output transitions to `events`, stamped with exact
-    /// transition times:
+    /// Feeds a heartbeat from process `key` — the one apply entry —
+    /// auto-registering unknown processes, and appends any resulting
+    /// output transitions to `events`, stamped with exact transition
+    /// times:
     ///
     /// * if the previous trust horizon expired strictly before this
     ///   arrival and the expiry was not yet published (no sweep ran), the
@@ -262,20 +252,8 @@ where
     /// * if the heartbeat restores trust, a T-transition is stamped at
     ///   its arrival time.
     ///
-    /// This is [`ProcessSet::on_heartbeat_incarnated`] pinned to
-    /// incarnation 0 — bit-identical to the pre-federation behaviour.
-    pub fn on_heartbeat_with_events(
-        &mut self,
-        key: K,
-        seq: u64,
-        arrival: Nanos,
-        events: &mut Vec<StreamTransition<K>>,
-    ) -> Option<Decision> {
-        self.on_heartbeat_incarnated(key, 0, seq, arrival, events)
-    }
-
-    /// Feeds an incarnation-aware heartbeat. Relative to the stream's
-    /// current incarnation:
+    /// Crash-stop senders carry incarnation 0 throughout. Relative to
+    /// the stream's current incarnation:
     ///
     /// * a **lower** incarnation is stale — a delayed frame from a dead
     ///   boot — and is dropped (`None`), like a stale sequence number;
@@ -287,6 +265,10 @@ where
     ///   old boot's horizon had already expired unpublished, the missed
     ///   S-transition is synthesized first (at the old horizon), so the
     ///   stream's suspicion interval stays exact.
+    ///
+    /// Returns the dense slot `key` is interned at — so a caller keeping
+    /// slot-indexed state beside the set need not look the key up again
+    /// — and the decision (`None` for stale heartbeats).
     pub fn on_heartbeat_incarnated(
         &mut self,
         key: K,
@@ -294,13 +276,13 @@ where
         seq: u64,
         arrival: Nanos,
         events: &mut Vec<StreamTransition<K>>,
-    ) -> Option<Decision> {
+    ) -> (u32, Option<Decision>) {
         let builder = &self.builder;
         let slot = self.slab.intern_with(key, |k| builder.build(k));
         let recovered = {
             let hot = self.slab.hot(slot);
             if incarnation < hot.incarnation() {
-                return None;
+                return (slot, None);
             }
             incarnation > hot.incarnation()
         };
@@ -330,7 +312,9 @@ where
         let (hot, fd, key) = self.slab.apply(slot);
         hot.set_incarnation(incarnation);
         let prev = hot.trust_until();
-        let decision = fd.on_heartbeat(seq, arrival)?;
+        let Some(decision) = fd.on_heartbeat(seq, arrival) else {
+            return (slot, None);
+        };
         if let Some(s) = fd.last_seq() {
             hot.set_seq(s);
         }
@@ -375,7 +359,7 @@ where
         let gen = hot.gen();
         self.wheel.insert(slot, gen, decision.trust_until);
 
-        Some(decision)
+        (slot, Some(decision))
     }
 
     /// Adopts a stream from a peer monitor's relayed digest view: seeds
@@ -551,12 +535,22 @@ mod tests {
         Nanos(seq * DI.0 + 10_000_000)
     }
 
+    /// A crash-stop heartbeat whose transitions the test does not read.
+    fn beat<K, B>(s: &mut ProcessSet<K, B>, key: K, seq: u64, at: Nanos) -> Option<Decision>
+    where
+        K: Eq + Hash + Clone,
+        B: DetectorBuilder<K>,
+    {
+        s.on_heartbeat_incarnated(key, 0, seq, at, &mut Vec::new())
+            .1
+    }
+
     #[test]
     fn unknown_processes_are_auto_registered() {
         let mut s = set();
         assert!(s.is_empty());
-        s.on_heartbeat("a", 1, hb(1));
-        s.on_heartbeat("b", 1, hb(1));
+        beat(&mut s, "a", 1, hb(1));
+        beat(&mut s, "b", 1, hb(1));
         assert_eq!(s.len(), 2);
     }
 
@@ -585,10 +579,10 @@ mod tests {
     fn processes_are_independent() {
         let mut s = set();
         for seq in 1..=5 {
-            s.on_heartbeat("alive", seq, hb(seq));
+            beat(&mut s, "alive", seq, hb(seq));
         }
         // "dead" only ever sent one heartbeat.
-        s.on_heartbeat("dead", 1, hb(1));
+        beat(&mut s, "dead", 1, hb(1));
         let now = hb(5) + Span::from_millis(1);
         assert_eq!(s.output(&"alive", now), Some(FdOutput::Trust));
         assert_eq!(s.output(&"dead", now), Some(FdOutput::Suspect));
@@ -599,7 +593,7 @@ mod tests {
     #[test]
     fn statuses_snapshot_everything() {
         let mut s = set();
-        s.on_heartbeat("a", 3, hb(3));
+        beat(&mut s, "a", 3, hb(3));
         s.register("b");
         let mut statuses = s.statuses(hb(3) + Span::from_millis(1));
         statuses.sort_by_key(|st| st.key);
@@ -615,7 +609,7 @@ mod tests {
     #[test]
     fn deregister_stops_monitoring() {
         let mut s = set();
-        s.on_heartbeat("a", 1, hb(1));
+        beat(&mut s, "a", 1, hb(1));
         assert!(s.deregister(&"a"));
         assert!(!s.deregister(&"a"));
         assert_eq!(s.output(&"a", hb(2)), None);
@@ -624,10 +618,10 @@ mod tests {
     #[test]
     fn per_process_sequence_tracking() {
         let mut s = set();
-        assert!(s.on_heartbeat("a", 5, hb(5)).is_some());
+        assert!(beat(&mut s, "a", 5, hb(5)).is_some());
         // Stale for a, fresh for b.
-        assert!(s.on_heartbeat("a", 4, hb(5)).is_none());
-        assert!(s.on_heartbeat("b", 4, hb(5)).is_some());
+        assert!(beat(&mut s, "a", 4, hb(5)).is_none());
+        assert!(beat(&mut s, "b", 4, hb(5)).is_some());
     }
 
     #[test]
@@ -637,7 +631,7 @@ mod tests {
                 as Box<dyn FailureDetector + Send>
         });
         let mut s = ProcessSet::new(factory);
-        s.on_heartbeat(7u64, 1, hb(1));
+        beat(&mut s, 7u64, 1, hb(1));
         assert_eq!(s.len(), 1);
     }
 
@@ -646,8 +640,8 @@ mod tests {
         // A spec-driven set stores `AnyDetector` values inline — no
         // boxing anywhere in the type.
         let mut s: ProcessSet<u64, DetectorConfig> = ProcessSet::new(DetectorConfig::default());
-        s.on_heartbeat(7u64, 1, hb(1));
-        s.on_heartbeat(8u64, 1, hb(1));
+        beat(&mut s, 7u64, 1, hb(1));
+        beat(&mut s, 8u64, 1, hb(1));
         assert_eq!(s.len(), 2);
         assert_eq!(s.output(&7, hb(1) + Span(1)), Some(FdOutput::Trust));
     }
@@ -656,7 +650,7 @@ mod tests {
     fn inline_closures_build_unboxed_detectors() {
         // Closures may return concrete detector types directly.
         let mut s = ProcessSet::new(|_k: &u64| TwoWindowFd::new(1, 100, DI, Span::from_millis(40)));
-        s.on_heartbeat(1u64, 1, hb(1));
+        beat(&mut s, 1u64, 1, hb(1));
         assert_eq!(s.output(&1, hb(1) + Span(1)), Some(FdOutput::Trust));
     }
 
@@ -664,14 +658,14 @@ mod tests {
     fn first_fresh_heartbeat_publishes_trust_at_arrival() {
         let mut s = set();
         let mut events = Vec::new();
-        s.on_heartbeat_with_events("a", 1, hb(1), &mut events);
+        s.on_heartbeat_incarnated("a", 0, 1, hb(1), &mut events);
         assert_eq!(
             events,
             vec![StreamTransition::new("a", TransitionKind::Trust, hb(1))]
         );
         // The next fresh heartbeat keeps trusting: no further event.
         events.clear();
-        s.on_heartbeat_with_events("a", 2, hb(2), &mut events);
+        s.on_heartbeat_incarnated("a", 0, 2, hb(2), &mut events);
         assert!(events.is_empty());
     }
 
@@ -679,7 +673,7 @@ mod tests {
     fn sweep_publishes_suspicion_at_exact_expiry() {
         let mut s = set();
         let mut events = Vec::new();
-        s.on_heartbeat_with_events("a", 1, hb(1), &mut events);
+        s.on_heartbeat_incarnated("a", 0, 1, hb(1), &mut events);
         let trust_until = s.statuses(hb(1))[0].trust_until.unwrap();
         events.clear();
 
@@ -706,13 +700,13 @@ mod tests {
     fn missed_expiry_is_synthesized_on_next_heartbeat() {
         let mut s = set();
         let mut events = Vec::new();
-        s.on_heartbeat_with_events("a", 1, hb(1), &mut events);
+        s.on_heartbeat_incarnated("a", 0, 1, hb(1), &mut events);
         let trust_until = s.statuses(hb(1))[0].trust_until.unwrap();
         events.clear();
 
         // No sweep runs; the next heartbeat arrives long after expiry.
         let late = trust_until + Span::from_secs(1);
-        s.on_heartbeat_with_events("a", 2, late, &mut events);
+        s.on_heartbeat_incarnated("a", 0, 2, late, &mut events);
         assert_eq!(events.len(), 2, "{events:?}");
         assert_eq!(
             events[0],
@@ -745,6 +739,7 @@ mod tests {
         let restart = trust_until + Span::from_secs(2);
         let d = s
             .on_heartbeat_incarnated("a", 1, 1, restart, &mut events)
+            .1
             .expect("restart heartbeat must be fresh");
         assert!(d.trust_until > restart);
         assert_eq!(
@@ -803,14 +798,17 @@ mod tests {
         s.on_heartbeat_incarnated("a", 2, 1, hb(1), &mut events);
         assert!(s
             .on_heartbeat_incarnated("a", 1, 99, hb(2), &mut events)
+            .1
             .is_none());
         assert!(s
             .on_heartbeat_incarnated("a", 0, 100, hb(2), &mut events)
+            .1
             .is_none());
         assert_eq!(s.statuses(hb(2))[0].incarnation, 2);
         // Same incarnation, fresh seq: accepted.
         assert!(s
             .on_heartbeat_incarnated("a", 2, 2, hb(2), &mut events)
+            .1
             .is_some());
     }
 
@@ -846,7 +844,7 @@ mod tests {
     fn adoption_defers_to_fresher_local_state() {
         let mut s = set();
         let mut events = Vec::new();
-        s.on_heartbeat_with_events("a", 1, hb(1), &mut events);
+        s.on_heartbeat_incarnated("a", 0, 1, hb(1), &mut events);
         let local = s.statuses(hb(1))[0].trust_until.unwrap();
         events.clear();
         assert!(!s.adopt("a", 0, local - Span(1), hb(1), &mut events));
@@ -859,6 +857,7 @@ mod tests {
         events.clear();
         assert!(s
             .on_heartbeat_incarnated("x", 1, 5, hb(2) + Span::from_millis(1), &mut events)
+            .1
             .is_some());
         assert!(
             events.is_empty(),
@@ -871,7 +870,7 @@ mod tests {
         let mut s = set();
         let mut events = Vec::new();
         for seq in 1..=5 {
-            s.on_heartbeat_with_events("a", seq, hb(seq), &mut events);
+            s.on_heartbeat_incarnated("a", 0, seq, hb(seq), &mut events);
         }
         events.clear();
         // Sweep past the first four (superseded) horizons but before the
@@ -886,7 +885,7 @@ mod tests {
     fn deregistered_streams_never_publish() {
         let mut s = set();
         let mut events = Vec::new();
-        s.on_heartbeat_with_events("a", 1, hb(1), &mut events);
+        s.on_heartbeat_incarnated("a", 0, 1, hb(1), &mut events);
         s.deregister(&"a");
         events.clear();
         s.sweep(Nanos::from_secs(3600), &mut events);
@@ -902,9 +901,9 @@ mod tests {
     fn next_expiry_always_matches_a_live_stream() {
         let mut s = set();
         for seq in 1..=5 {
-            s.on_heartbeat("a", seq, hb(seq));
+            beat(&mut s, "a", seq, hb(seq));
         }
-        s.on_heartbeat("b", 1, hb(5) + Span::from_millis(3));
+        beat(&mut s, "b", 1, hb(5) + Span::from_millis(3));
         let live: Vec<Nanos> = s
             .statuses(hb(5))
             .iter()
@@ -942,8 +941,8 @@ mod tests {
     fn churn_is_leak_free_and_gauges_reconcile() {
         let mut s = set();
         let mut events = Vec::new();
-        s.on_heartbeat_with_events("a", 1, hb(1), &mut events);
-        s.on_heartbeat_with_events("b", 1, hb(1), &mut events);
+        s.on_heartbeat_incarnated("a", 0, 1, hb(1), &mut events);
+        s.on_heartbeat_incarnated("b", 0, 1, hb(1), &mut events);
         let baseline_slots = s.slot_capacity();
 
         for round in 0..100u64 {
@@ -961,7 +960,7 @@ mod tests {
                 events.iter().all(|e| e.key != "a"),
                 "old incarnation's expiry leaked into round {round}: {events:?}"
             );
-            s.on_heartbeat_with_events("a", round + 2, hb(round + 2), &mut events);
+            s.on_heartbeat_incarnated("a", 0, round + 2, hb(round + 2), &mut events);
         }
 
         assert_eq!(
@@ -1005,7 +1004,7 @@ mod tests {
             let mut fd = cfg.build();
             for seq in 1..=20u64 {
                 let at = Nanos(seq * DI.0 + (seq % 7) * 3_000_000);
-                s.on_heartbeat(1, seq, at);
+                beat(&mut s, 1, seq, at);
                 fd.on_heartbeat(seq, at);
                 for probe in [at + Span(1), at + Span::from_millis(35), at + DI + DI] {
                     assert_eq!(

@@ -42,9 +42,9 @@ pub enum IntakeMode {
     /// [`ShardRuntime::ingest_batch`]. The default.
     #[default]
     Batched,
-    /// One `recv(2)`, one clock read, one [`ShardRuntime::ingest`] per
-    /// datagram — the original path, kept for differential tests and
-    /// before/after benchmarks.
+    /// One `recv(2)`, one clock read, one one-job
+    /// [`ShardRuntime::ingest_batch`] per datagram — the original path,
+    /// kept for differential tests and before/after benchmarks.
     PerDatagram,
 }
 

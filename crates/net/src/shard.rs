@@ -6,23 +6,30 @@
 //! partitions that state by stream id:
 //!
 //! ```text
-//!     ingest(stream, seq, arrival) / ingest_batch(&[jobs])
+//!                 ingest_batch(&[(stream, seq, arrival, incarnation)])
 //!                        │  route: stream % n_shards
-//!                        │  (batches grouped per shard, one
+//!                        │  (jobs grouped per shard, one
 //!                        │   force_send_many per group)
 //!        ┌───────────────┼───────────────┐
-//!   [bounded q]     [bounded q]     [bounded q]     force_send:
+//!   [bounded q]     [bounded q]     [bounded q]     force_send_many:
 //!        │               │               │          drop-oldest +
 //!   shard worker    shard worker    shard worker    per-shard counter
-//!   own ProcessSet  own ProcessSet  own ProcessSet
+//!   one mutex:      one mutex:      one mutex:
+//!   ProcessSet +    ProcessSet +    ProcessSet +
+//!   slot-indexed    slot-indexed    slot-indexed
+//!   obs state       obs state       obs state
 //!   + sweeper       + sweeper       + sweeper
 //!        └───────────────┴───────────────┘
 //!                 bounded events channel (counted drops)
 //! ```
 //!
-//! * **No cross-shard locking** — each shard worker owns its own
-//!   [`ProcessSet`]; a shard's mutex is only ever contended between that
-//!   worker and direct queries against the same shard.
+//! * **One way in, one lock per shard** — [`ShardRuntime::ingest_batch`]
+//!   is the only ingest entry and [`ProcessSet::on_heartbeat_incarnated`]
+//!   the only apply entry. Each shard has exactly one mutex, guarding
+//!   its [`ProcessSet`] together with the opt-in observability state
+//!   below; it is only ever contended between that shard's worker and
+//!   direct queries or scrapes against the same shard — never across
+//!   shards.
 //! * **Bounded everything** — ingestion never blocks: a full shard queue
 //!   drops its *oldest* heartbeat (the one a fresher heartbeat from the
 //!   same regime supersedes anyway — sequence-number freshness makes
@@ -75,13 +82,20 @@
 //! transition events the detectors already produce. [`RuntimeStats`]
 //! remains the programmatic snapshot — it is now a thin view over the
 //! same registry-backed cells that `GET /metrics` renders.
+//!
+//! The per-stream part of those extras (last arrival, tracker) is a
+//! `Vec` indexed by the dense slot the [`ProcessSet`] interned the
+//! stream at, inside the same mutex as the set: the apply entry hands
+//! the slot back, so feeding a heartbeat costs one indexed write and no
+//! second lookup, and a tracker can never be read between a pass's
+//! heartbeats and that pass's transitions. `deregister` clears a slot's
+//! entry (and its `twofd_qos_*` series) before the slab recycles the
+//! slot.
 
 use crate::clock::TimeSource;
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -90,7 +104,7 @@ use twofd_core::{
     QosMetrics, StreamTransition, TransitionKind,
 };
 use twofd_obs::{
-    qos::judge, Counter, GaugeVec, Histogram, QosPlan, QosTracker, QosVerdict, Registry,
+    qos::judge, Counter, GaugeVec, Histogram, QosAxis, QosPlan, QosTracker, QosVerdict, Registry,
 };
 use twofd_sim::time::Nanos;
 
@@ -256,48 +270,33 @@ const MIN_PARK: Duration = Duration::from_micros(200);
 /// and the worker parks exactly as before.
 const DRAIN_LINGER: u32 = 16;
 
-/// Per-stream worker-side observability state.
+/// Per-stream opt-in observability state, one entry per slab slot.
 struct StreamObs {
+    /// The stream interned at this slot; scrapes label its series by it.
+    stream: u64,
     last_arrival: Option<Nanos>,
     tracker: Option<QosTracker>,
 }
 
-/// Multiplicative hasher for the hot-obs stream map: the keys are
-/// in-process `u64` stream ids, so SipHash's DoS resistance buys
-/// nothing and its cost is measurable on the per-heartbeat path.
-#[derive(Default)]
-struct StreamHasher(u64);
-
-impl std::hash::Hasher for StreamHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-    fn write_u64(&mut self, n: u64) {
-        // Fibonacci hashing: one multiply spreads sequential ids.
-        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type StreamMap = HashMap<u64, StreamObs, std::hash::BuildHasherDefault<StreamHasher>>;
-
-/// The opt-in observability state of one shard, touched only by that
-/// shard's worker and by scrapes/queries — never while the `set` lock
-/// is held (lock order: `set` strictly before `hot`).
-struct HotObs {
+/// The opt-in observability state of one shard.
+struct ShardObs {
     jitter: Option<Histogram>,
     qos: Option<QosPlan>,
-    streams: StreamMap,
+    /// Indexed by the slot the shard's [`ProcessSet`] interned the
+    /// stream at; `None` until the slot's occupant is first heard from.
+    streams: Vec<Option<StreamObs>>,
 }
 
-impl HotObs {
-    fn stream(&mut self, stream: u64) -> &mut StreamObs {
+impl ShardObs {
+    /// The entry of `stream`, interned at `slot`, created on first use.
+    fn stream(&mut self, slot: u32, stream: u64) -> &mut StreamObs {
+        let i = slot as usize;
+        if i >= self.streams.len() {
+            self.streams.resize_with(i + 1, || None);
+        }
         let qos = &self.qos;
-        self.streams.entry(stream).or_insert_with(|| StreamObs {
+        self.streams[i].get_or_insert_with(|| StreamObs {
+            stream,
             last_arrival: None,
             tracker: qos
                 .as_ref()
@@ -306,35 +305,74 @@ impl HotObs {
         })
     }
 
-    fn on_heartbeat(&mut self, stream: u64, seq: u64, arrival: Nanos, decision: Option<Decision>) {
-        // Split borrows by hand (no `self.stream()` helper): the jitter
-        // histogram must not be cloned per heartbeat.
-        let qos = &self.qos;
-        let obs = self.streams.entry(stream).or_insert_with(|| StreamObs {
-            last_arrival: None,
-            tracker: qos
-                .as_ref()
-                .and_then(|p| p.config_for(&stream))
-                .map(QosTracker::new),
-        });
-        if let (Some(hist), Some(last)) = (self.jitter.as_ref(), obs.last_arrival) {
-            hist.observe_span(arrival.saturating_since(last));
-        }
-        obs.last_arrival = Some(arrival);
+    fn on_heartbeat(
+        &mut self,
+        slot: u32,
+        (stream, seq, arrival, _incarnation): Job,
+        decision: Option<Decision>,
+    ) {
+        let obs = self.stream(slot, stream);
+        let previous = obs.last_arrival.replace(arrival);
         if let Some(tracker) = &mut obs.tracker {
             tracker.on_heartbeat(seq, arrival, decision);
         }
-    }
-
-    fn on_transition(&mut self, event: &FleetEvent) {
-        if let Some(tracker) = &mut self.stream(event.key).tracker {
-            tracker.on_transition_kind(event.kind, event.at);
+        if let (Some(hist), Some(last)) = (&self.jitter, previous) {
+            hist.observe_span(arrival.saturating_since(last));
         }
     }
 }
 
+/// Everything a shard's one mutex guards: the detector bank and, beside
+/// it, the opt-in observability state indexed by the bank's slots.
+struct ShardState {
+    set: ProcessSet<u64, DetectorPlan>,
+    /// `None` when `ObsOptions` asked for nothing, so the default apply
+    /// loop pays one never-taken branch for it.
+    obs: Option<ShardObs>,
+}
+
+impl ShardState {
+    /// Feeds transitions produced under this lock hold to the QoS
+    /// trackers of their streams (a jitter-only configuration has none).
+    fn observe_transitions(&mut self, events: &[FleetEvent]) {
+        let Some(obs) = self.obs.as_mut().filter(|obs| obs.qos.is_some()) else {
+            return;
+        };
+        for event in events {
+            let Some(slot) = self.set.slot_of(&event.key) else {
+                continue;
+            };
+            if let Some(tracker) = &mut obs.stream(slot, event.key).tracker {
+                tracker.on_transition_kind(event.kind, event.at);
+            }
+        }
+    }
+
+    /// Removes `stream`, its obs entry first: the slot reaches the
+    /// slab's free list, under the same lock hold, with nothing for its
+    /// next occupant to inherit. Returns whether the stream existed and
+    /// whether it had a tracker.
+    fn deregister(&mut self, stream: u64) -> (bool, bool) {
+        let obs = self
+            .set
+            .slot_of(&stream)
+            .and_then(|slot| self.obs.as_mut()?.streams.get_mut(slot as usize)?.take());
+        (
+            self.set.deregister(&stream),
+            obs.is_some_and(|obs| obs.tracker.is_some()),
+        )
+    }
+
+    fn tracker(&mut self, stream: u64) -> Option<&mut QosTracker> {
+        let slot = self.set.slot_of(&stream)?;
+        let obs = self.obs.as_mut()?.streams.get_mut(slot as usize)?;
+        obs.as_mut()?.tracker.as_mut()
+    }
+}
+
 struct ShardShared {
-    set: Mutex<ProcessSet<u64, DetectorPlan>>,
+    /// The shard's one lock.
+    state: Mutex<ShardState>,
     /// Heartbeats routed to this shard.
     received: Counter,
     /// Heartbeats evicted by drop-oldest backpressure.
@@ -352,16 +390,6 @@ struct ShardShared {
     to_recovered: Counter,
     /// Wall-clock duration of each expiry sweep.
     sweep_hist: Histogram,
-    /// Heartbeats whose hot-obs update (jitter/QoS tracker) has landed.
-    /// The worker feeds the trackers *after* releasing the set lock, so
-    /// `applied` can lead the tracker state by one pass; [`ShardRuntime::
-    /// flush`] waits this counter out too, or a barrier-then-query could
-    /// read a tracker missing the last batch's decisions. Only advanced
-    /// when `hot` is `Some`; not a metric.
-    obs_applied: AtomicU64,
-    /// Opt-in extras; `None` when `ObsOptions` asked for nothing, so
-    /// the default hot path pays zero for them.
-    hot: Option<Mutex<HotObs>>,
 }
 
 struct Shard {
@@ -473,6 +501,9 @@ struct Inner {
     /// their own clones, and shutdown is the job queues disconnecting.
     events_tx: Sender<FleetEvent>,
     events_dropped: Counter,
+    /// The per-stream `twofd_qos_*` families, when QoS tracking is on:
+    /// scrapes publish into them, `deregister` removes from them.
+    qos_gauges: Option<QosGauges>,
     clock: Arc<dyn TimeSource>,
 }
 
@@ -557,7 +588,7 @@ impl QosGauges {
             .set(metrics.query_accuracy);
         if let Some(v) = verdict {
             self.met.with(&[&label]).set(if v.met { 1.0 } else { 0.0 });
-            for axis in twofd_obs::QosAxis::ALL {
+            for axis in QosAxis::ALL {
                 let violated = v.violated_axes.contains(&axis);
                 self.axis_violated
                     .with(&[&label, axis.label()])
@@ -565,11 +596,29 @@ impl QosGauges {
             }
         }
     }
+
+    /// Drops every series of a deregistered stream, so churn cannot
+    /// grow the exposition's label cardinality without bound.
+    fn remove(&self, stream: u64) {
+        let label = stream.to_string();
+        for family in [
+            &self.detection_time,
+            &self.mistake_rate,
+            &self.mistake_duration,
+            &self.query_accuracy,
+            &self.met,
+        ] {
+            family.remove(&[&label]);
+        }
+        for axis in QosAxis::ALL {
+            self.axis_violated.remove(&[&label, axis.label()]);
+        }
+    }
 }
 
 /// The socket-free sharded monitor core.
 ///
-/// [`ShardRuntime::ingest`] routes timestamped heartbeats to per-stream
+/// [`ShardRuntime::ingest_batch`] routes timestamped heartbeats to per-stream
 /// detectors across `n_shards` worker threads; queries and the
 /// [`ShardRuntime::events`] channel read the results. The UDP layer
 /// ([`crate::fleet::FleetMonitor`]) is a thin shell around this.
@@ -654,15 +703,18 @@ impl ShardRuntime {
             .map(|i| {
                 let label = i.to_string();
                 let (tx, rx) = bounded::<Job>(config.queue_capacity);
-                let hot = config.obs.enabled().then(|| {
-                    Mutex::new(HotObs {
-                        jitter: jitter_vec.as_ref().map(|v| v.with(&[&label])),
-                        qos: config.obs.qos.clone(),
-                        streams: StreamMap::default(),
-                    })
+                let obs = config.obs.enabled().then(|| ShardObs {
+                    jitter: jitter_vec.as_ref().map(|v| v.with(&[&label])),
+                    qos: config.obs.qos.clone(),
+                    // hotpath:allow(alloc) — startup path: the empty
+                    // table; it grows with the slab, at registration.
+                    streams: Vec::new(),
                 });
                 let shared = Arc::new(ShardShared {
-                    set: Mutex::new(ProcessSet::new(config.detector.clone())),
+                    state: Mutex::new(ShardState {
+                        set: ProcessSet::new(config.detector.clone()),
+                        obs,
+                    }),
                     received: received_vec.with(&[&label]),
                     dropped: dropped_vec.with(&[&label]),
                     applied: applied_vec.with(&[&label]),
@@ -671,8 +723,6 @@ impl ShardRuntime {
                     to_suspect: transitions_vec.with(&[&label, "to_suspect"]),
                     to_recovered: transitions_vec.with(&[&label, "to_recovered"]),
                     sweep_hist: sweep_vec.with(&[&label]),
-                    obs_applied: AtomicU64::new(0),
-                    hot,
                 });
                 let worker = {
                     let shared = Arc::clone(&shared);
@@ -712,16 +762,17 @@ impl ShardRuntime {
             events_rx,
             events_tx,
             events_dropped,
+            qos_gauges: config.obs.qos.as_ref().map(|_| QosGauges::new(&registry)),
             clock,
         });
-        Self::install_scrape_hook(&registry, &inner, config.obs.qos.is_some());
+        Self::install_scrape_hook(&registry, &inner);
         ShardRuntime { inner, registry }
     }
 
     /// Registers the snapshot-gauge scrape hook. The hook holds a
     /// [`Weak`] so dropping the runtime still disconnects the worker
     /// queues; a scrape after that renders the last pushed values.
-    fn install_scrape_hook(registry: &Registry, inner: &Arc<Inner>, qos: bool) {
+    fn install_scrape_hook(registry: &Registry, inner: &Arc<Inner>) {
         let queue_depth = registry.gauge_vec(
             "twofd_shard_queue_depth",
             "Heartbeats queued, awaiting the shard worker",
@@ -736,7 +787,6 @@ impl ShardRuntime {
             "twofd_events_queue_depth",
             "Transition events queued, awaiting the consumer",
         );
-        let qos_gauges = qos.then(|| QosGauges::new(registry));
         let weak: Weak<Inner> = Arc::downgrade(inner);
         registry.on_scrape(move || {
             let Some(inner) = weak.upgrade() else { return };
@@ -748,17 +798,18 @@ impl ShardRuntime {
                 queue_depth.with(&[&label]).set(depth as f64);
                 // hotpath:allow(block) — scrape path, not the worker
                 // loop: runs at exporter cadence (seconds) and holds
-                // each per-shard lock only for an O(live) tally.
-                let (live, suspect) = shard.shared.set.lock().counts(now);
+                // each shard's lock for an O(live) tally plus, with QoS
+                // tracking on, one estimate per tracked stream.
+                let mut state = shard.shared.state.lock();
+                let (live, suspect) = state.set.counts(now);
                 streams_gauge.with(&[&label, "live"]).set(live as f64);
                 streams_gauge.with(&[&label, "suspect"]).set(suspect as f64);
-                if let (Some(gauges), Some(hot)) = (&qos_gauges, &shard.shared.hot) {
-                    let mut hot = hot.lock();
-                    for (stream, obs) in hot.streams.iter_mut() {
+                if let (Some(gauges), Some(obs)) = (&inner.qos_gauges, &mut state.obs) {
+                    for obs in obs.streams.iter_mut().flatten() {
                         if let Some(tracker) = &mut obs.tracker {
                             let metrics = tracker.metrics_at(now);
                             let verdict = tracker.config().spec.map(|spec| judge(&spec, &metrics));
-                            gauges.publish(*stream, &metrics, verdict.as_ref());
+                            gauges.publish(obs.stream, &metrics, verdict.as_ref());
                         }
                     }
                 }
@@ -776,49 +827,23 @@ impl ShardRuntime {
         self.inner.shard_of(stream)
     }
 
-    /// Routes one decoded, timestamped heartbeat to its shard with
-    /// crash-stop semantics (incarnation 0). Never blocks: a full shard
-    /// queue evicts its oldest heartbeat and counts the drop.
-    pub fn ingest(&self, stream: u64, seq: u64, arrival: Nanos) {
-        self.ingest_incarnated(stream, seq, arrival, 0);
-    }
-
-    /// Routes one decoded, timestamped heartbeat carrying the sender's
-    /// boot counter. A higher incarnation than the stream's current one
-    /// resets its detector (the sequence-number restart is a new boot,
-    /// not stale traffic) and publishes a `Recovered` transition; a
-    /// lower one is dropped as stale. Never blocks.
-    pub fn ingest_incarnated(&self, stream: u64, seq: u64, arrival: Nanos, incarnation: u32) {
-        let shard = self.shard_of(stream);
-        shard.shared.received.inc();
-        // hotpath:allow(panic) — invariant: `tx` is only taken in
-        // `Drop`, and `ingest` borrows `&self`, so the runtime is
-        // necessarily still alive here.
-        match shard.tx.as_ref().expect("runtime is live").force_send((
-            stream,
-            seq,
-            arrival,
-            incarnation,
-        )) {
-            Ok(Some(_displaced)) => {
-                shard.shared.dropped.inc();
-            }
-            Ok(None) => {}
-            Err(_) => {} // worker already shut down
-        }
-    }
-
-    /// Routes a batch of decoded, timestamped heartbeats, grouping them
-    /// by shard so that each shard's queue is taken once per batch (one
-    /// lock acquisition, at most one worker wakeup) instead of once per
-    /// heartbeat. Never blocks; ordering per stream is preserved, and
-    /// the accounting identity is exact: every job is counted received
-    /// and everything the enqueue displaces — whether evicted from the
-    /// queue or shed from an over-capacity batch — is counted dropped.
+    /// Routes decoded, timestamped heartbeats — the one way in —
+    /// grouping them by shard so that each shard's queue is taken once
+    /// per batch (one lock acquisition, at most one worker wakeup)
+    /// instead of once per heartbeat. Never blocks: a full shard queue
+    /// evicts its oldest heartbeats. Ordering per stream is preserved,
+    /// and the accounting identity is exact: every job is counted
+    /// received and everything the enqueue displaces — whether evicted
+    /// from the queue or shed from an over-capacity batch — is counted
+    /// dropped.
     ///
-    /// Feeding the same `(stream, seq, arrival, incarnation)` jobs
-    /// through [`ShardRuntime::ingest_incarnated`] one at a time
-    /// produces the identical
+    /// Each job carries the sender's boot counter. A higher incarnation
+    /// than the stream's current one resets its detector (the
+    /// sequence-number restart is a new boot, not stale traffic) and
+    /// publishes a `Recovered` transition; a lower one is dropped as
+    /// stale. Crash-stop senders carry incarnation 0.
+    ///
+    /// Feeding the same jobs one per call produces the identical
     /// transition timeline; batching is invisible to detector semantics
     /// (`tests/shard_equivalence.rs` enforces this differentially).
     pub fn ingest_batch(&self, jobs: &[Job]) {
@@ -855,9 +880,10 @@ impl ShardRuntime {
         }
         shard.shared.received.add(group.len() as u64);
         // Err means the worker already shut down; the jobs are dropped on
-        // the floor exactly like the seed's per-job `ingest`.
-        // hotpath:allow(panic) — same `tx` liveness invariant as
-        // `ingest_incarnated`: `tx` is taken only in `Drop`.
+        // the floor.
+        // hotpath:allow(panic) — invariant: `tx` is only taken in
+        // `Drop`, and this borrows `&self`, so the runtime is
+        // necessarily still alive here.
         if let Ok(evicted) = shard
             .tx
             .as_ref()
@@ -877,24 +903,28 @@ impl ShardRuntime {
     pub fn register(&self, stream: u64) {
         // hotpath:allow(block) — control-plane admin op, not the worker
         // loop: the per-shard mutex is held for one O(1) insert.
-        self.shard_of(stream).shared.set.lock().register(stream);
+        self.shard_of(stream)
+            .shared
+            .state
+            .lock()
+            .set
+            .register(stream);
     }
 
     /// Removes a stream from monitoring; returns whether it existed.
     /// The detector state, queued expiries (dead by slot-generation
-    /// bump) and any per-stream QoS/obs state are released, and the
-    /// stream-count gauges reconcile immediately. A later heartbeat or
+    /// bump), any per-stream QoS/obs state and the stream's
+    /// `twofd_qos_*` series are released, and the stream-count gauges
+    /// reconcile immediately. A later heartbeat or
     /// [`ShardRuntime::register`] starts a fresh incarnation with no
-    /// memory of the old one.
+    /// memory of the old one — including whichever stream the slab
+    /// hands the vacated slot to next.
     pub fn deregister(&self, stream: u64) -> bool {
-        let shard = self.shard_of(stream);
-        // Lock order: `set` strictly before `hot` (never held together).
-        // hotpath:allow(block) — control-plane admin op: two short
-        // per-shard critical sections (O(1) removals), off the
-        // heartbeat path.
-        let existed = shard.shared.set.lock().deregister(&stream);
-        if let Some(hot) = shard.shared.hot.as_ref() {
-            hot.lock().streams.remove(&stream);
+        // hotpath:allow(block) — control-plane admin op: one short
+        // critical section (O(1) removals), off the heartbeat path.
+        let (existed, tracked) = self.shard_of(stream).shared.state.lock().deregister(stream);
+        if let (true, Some(gauges)) = (tracked, &self.inner.qos_gauges) {
+            gauges.remove(stream);
         }
         existed
     }
@@ -917,32 +947,23 @@ impl ShardRuntime {
         // runs at relay cadence, not per heartbeat; one scratch vector
         // per call is fine.
         let mut events: Vec<FleetEvent> = Vec::new();
-        // Lock order: `set` strictly before `hot` (never held together).
-        // hotpath:allow(block) — digest-relay control plane: short
-        // per-shard critical sections, serialized with the worker by
-        // design (the shard mutex IS the serialization point).
-        let applied =
-            shard
-                .shared
+        let applied = {
+            // hotpath:allow(block) — digest-relay control plane: one
+            // short critical section, serialized with the worker by
+            // design (the shard mutex IS the serialization point).
+            let mut state = shard.shared.state.lock();
+            let applied = state
                 .set
-                .lock()
                 .adopt(stream, incarnation, trust_until, now, &mut events);
-        if !events.is_empty() {
-            if let Some(hot) = &shard.shared.hot {
-                let mut hot = hot.lock();
-                if hot.qos.is_some() {
-                    for event in &events {
-                        hot.on_transition(event);
-                    }
-                }
-            }
-            publish(
-                &shard.shared,
-                &self.inner.events_tx,
-                &self.inner.events_dropped,
-                &mut events,
-            );
-        }
+            state.observe_transitions(&events);
+            applied
+        };
+        publish(
+            &shard.shared,
+            &self.inner.events_tx,
+            &self.inner.events_dropped,
+            &mut events,
+        );
         applied
     }
 
@@ -951,7 +972,12 @@ impl ShardRuntime {
         let now = self.inner.clock.now();
         // hotpath:allow(block) — caller-side query, not the worker
         // loop: one O(1) lookup under the per-shard mutex.
-        self.shard_of(stream).shared.set.lock().output(&stream, now)
+        self.shard_of(stream)
+            .shared
+            .state
+            .lock()
+            .set
+            .output(&stream, now)
     }
 
     /// Status snapshot of every monitored stream, across all shards.
@@ -963,7 +989,7 @@ impl ShardRuntime {
         self.inner
             .shards
             .iter()
-            .flat_map(|s| s.shared.set.lock().statuses(now))
+            .flat_map(|s| s.shared.state.lock().set.statuses(now))
             .collect()
     }
 
@@ -975,7 +1001,7 @@ impl ShardRuntime {
         self.inner
             .shards
             .iter()
-            .flat_map(|s| s.shared.set.lock().suspected(now))
+            .flat_map(|s| s.shared.state.lock().set.suspected(now))
             .collect()
     }
 
@@ -986,18 +1012,13 @@ impl ShardRuntime {
         self.inner
             .shards
             .iter()
-            .map(|s| s.shared.set.lock().len())
+            .map(|s| s.shared.state.lock().set.len())
             .sum()
     }
 
     /// True when no stream is monitored.
     pub fn is_empty(&self) -> bool {
-        // hotpath:allow(block) — caller-side query: O(1) check under
-        // each per-shard mutex, off the heartbeat path.
-        self.inner
-            .shards
-            .iter()
-            .all(|s| s.shared.set.lock().is_empty())
+        self.len() == 0
     }
 
     /// The stream of Trust/Suspect transitions, timestamped exactly.
@@ -1014,12 +1035,10 @@ impl ShardRuntime {
     /// tracking is enabled ([`ObsOptions::qos`]) and covers the stream.
     pub fn qos_metrics(&self, stream: u64) -> Option<QosMetrics> {
         let now = self.inner.clock.now();
-        let shard = self.shard_of(stream);
         // hotpath:allow(block) — observer query: one O(1) tracker
-        // lookup under the per-shard hot lock, off the worker loop.
-        let mut hot = shard.shared.hot.as_ref()?.lock();
-        let tracker = hot.streams.get_mut(&stream)?.tracker.as_mut()?;
-        Some(tracker.metrics_at(now))
+        // lookup under the shard lock, off the worker loop.
+        let mut state = self.shard_of(stream).shared.state.lock();
+        Some(state.tracker(stream)?.metrics_at(now))
     }
 
     /// The live verdict of one stream against its configured QoS bound,
@@ -1027,12 +1046,10 @@ impl ShardRuntime {
     /// when the tracker has no spec.
     pub fn qos_verdict(&self, stream: u64) -> Option<QosVerdict> {
         let now = self.inner.clock.now();
-        let shard = self.shard_of(stream);
-        // hotpath:allow(block) — observer query, same O(1) hot-lock
+        // hotpath:allow(block) — observer query, same O(1) lookup
         // discipline as `qos_metrics`.
-        let mut hot = shard.shared.hot.as_ref()?.lock();
-        let tracker = hot.streams.get_mut(&stream)?.tracker.as_mut()?;
-        Some(tracker.verdict_at(now))
+        let mut state = self.shard_of(stream).shared.state.lock();
+        Some(state.tracker(stream)?.verdict_at(now))
     }
 
     /// Observability snapshot: per-shard counters, queue depths and
@@ -1048,10 +1065,10 @@ impl ShardRuntime {
                 let (streams, live, suspect, queue_depth) = {
                     // hotpath:allow(block) — observability snapshot:
                     // per-shard O(live) tally at caller cadence.
-                    let set = s.shared.set.lock();
-                    let (live, suspect) = set.counts(now);
+                    let state = s.shared.state.lock();
+                    let (live, suspect) = state.set.counts(now);
                     let depth = s.tx.as_ref().map(|tx| tx.len()).unwrap_or(0);
-                    (set.len(), live, suspect, depth)
+                    (state.set.len(), live, suspect, depth)
                 };
                 ShardStats {
                     shard: i,
@@ -1077,18 +1094,16 @@ impl ShardRuntime {
 
     /// Blocks until every heartbeat ingested *before this call* has been
     /// applied by its shard worker (dropped heartbeats count as handled).
-    /// Benches and deterministic tests use this as a barrier.
+    /// Benches and deterministic tests use this as a barrier. It covers
+    /// the QoS trackers too: `applied` advances inside the worker's lock
+    /// hold, and that hold also feeds the pass's heartbeats and
+    /// transitions to the trackers, so a query after the barrier (which
+    /// needs the same lock) sees them.
     pub fn flush(&self) {
         loop {
             let behind = self.inner.shards.iter().any(|s| {
                 let shared = &s.shared;
-                let handled = |done: u64| done + shared.dropped.get() < shared.received.get();
-                // The worker feeds the hot-obs trackers after releasing
-                // the set lock, so `applied` alone would let a
-                // barrier-then-query read a tracker missing the last
-                // batch; wait for the obs echo too when extras are on.
-                handled(shared.applied.get())
-                    || (shared.hot.is_some() && handled(shared.obs_applied.load(Ordering::Acquire)))
+                shared.applied.get() + shared.dropped.get() < shared.received.get()
             });
             if !behind {
                 return;
@@ -1113,7 +1128,9 @@ impl ShardRuntime {
     /// (bounded only by `sweep_interval` wall time). Idempotent: a
     /// sweep retires each expired horizon exactly once, so calling
     /// again — or racing a worker's own sweep, with which it serializes
-    /// on the shard lock — publishes nothing twice.
+    /// on the shard lock — publishes nothing twice. The QoS trackers are
+    /// fed under that same lock hold, so they see a stream's transitions
+    /// in the order the sweeps produced them.
     pub fn sweep_now(&self) {
         let now = self.inner.clock.now();
         // hotpath:allow(alloc) — deterministic-driver path, called at
@@ -1124,31 +1141,16 @@ impl ShardRuntime {
                 // hotpath:allow(block) — caller-side sweep: serializes
                 // with the worker on the shard mutex by design, holding
                 // it for exactly one sweep.
-                let mut set = shard.shared.set.lock();
+                let mut state = shard.shared.state.lock();
                 // xtask:allow(wall_clock) — measures sweep duration for
                 // the sweep_hist metric; never feeds detector decisions.
                 let sweep_started = std::time::Instant::now();
-                set.sweep(now, &mut events);
+                state.set.sweep(now, &mut events);
                 shard
                     .shared
                     .sweep_hist
                     .observe_ns(sweep_started.elapsed().as_nanos() as u64);
-            }
-            if events.is_empty() {
-                continue;
-            }
-            // Feed the QoS trackers outside the set lock, exactly like
-            // the worker (lock order: `set` strictly before `hot`).
-            // hotpath:allow(block) — caller-side sweep continued: the
-            // hot lock is held per shard for the O(events) tracker
-            // update only.
-            if let Some(hot) = &shard.shared.hot {
-                let mut hot = hot.lock();
-                if hot.qos.is_some() {
-                    for event in &events {
-                        hot.on_transition(event);
-                    }
-                }
+                state.observe_transitions(&events);
             }
             publish(
                 &shard.shared,
@@ -1191,27 +1193,23 @@ fn shard_worker(
     clock: Arc<dyn TimeSource>,
     sweep_interval: Duration,
 ) {
-    // hotpath:allow(alloc) — worker startup: the event, scratch and
-    // inbox vectors are allocated once per worker thread and reused
-    // (drained, never dropped) across every pass of the loop below; the
-    // inbox never holds more than the `MAX_BATCH` it is sized for.
+    // hotpath:allow(alloc) — worker startup: the event, inbox and
+    // tracker-feed vectors are allocated once per worker thread and
+    // reused (drained, never dropped) across every pass of the loop
+    // below; the inbox never holds more than the `MAX_BATCH` it is
+    // sized for.
     let mut events: Vec<FleetEvent> = Vec::new();
-    // Heartbeats applied this pass, kept for the hot-obs update; only
-    // populated when the extras are enabled.
-    let mut scratch: Vec<(Job, Option<Decision>)> = Vec::new();
+    // What this pass applied, by slot, for the jitter/QoS feed at the
+    // end of the same lock hold; only populated when the extras are on.
+    // The feed runs after the applies, not among them: back to back,
+    // the tracker updates' cache misses overlap, while one interleaved
+    // with each apply is paid in full (EXPERIMENTS.md, "One lock, one
+    // table").
+    let mut observed: Vec<(u32, Job, Option<Decision>)> = Vec::new();
     // This pass's heartbeats, dequeued in one go. A job received while
     // parked waits here for the next pass, so it is applied under the
     // same lock (and before the same sweep) as the rest of its batch.
     let mut inbox: Vec<Job> = Vec::with_capacity(MAX_BATCH);
-    let track = shared.hot.is_some();
-    // Transitions only matter to the hot state when QoS trackers exist;
-    // a jitter-only configuration skips the per-event map walk.
-    // hotpath:allow(block) — worker startup: one hot-lock peek at the
-    // configuration before the loop begins, never per pass.
-    let track_transitions = shared
-        .hot
-        .as_ref()
-        .is_some_and(|hot| hot.lock().qos.is_some());
     loop {
         // Read the sweep time *before* draining: anything enqueued before
         // the clock reached `now` is applied first, so the sweep can
@@ -1226,9 +1224,10 @@ fn shard_worker(
             // worker, uncontended except against short control-plane
             // sections, held for at most MAX_BATCH applies + one sweep
             // (parking_lot fast path is one CAS when uncontended).
-            let mut set = shared.set.lock();
-            // One queue lock per pass, taken under the set lock so that
-            // a caller's `sweep_now` cannot run between a heartbeat
+            let mut state = shared.state.lock();
+            let state = &mut *state;
+            // One queue lock per pass, taken under the shard lock so
+            // that a caller's `sweep_now` cannot run between a heartbeat
             // leaving the queue and its apply.
             let room = MAX_BATCH - inbox.len();
             disconnected = matches!(
@@ -1239,11 +1238,16 @@ fn shard_worker(
             let mut stale = 0u64;
             for job in inbox.drain(..) {
                 let (stream, seq, arrival, incarnation) = job;
-                let decision =
-                    set.on_heartbeat_incarnated(stream, incarnation, seq, arrival, &mut events);
+                let (slot, decision) = state.set.on_heartbeat_incarnated(
+                    stream,
+                    incarnation,
+                    seq,
+                    arrival,
+                    &mut events,
+                );
                 stale += u64::from(decision.is_none());
-                if track {
-                    scratch.push((job, decision));
+                if state.obs.is_some() {
+                    observed.push((slot, job, decision));
                 }
             }
             // One update per pass: the producer and `flush` poll these
@@ -1261,42 +1265,21 @@ fn shard_worker(
                 // xtask:allow(wall_clock) — measures sweep duration for
                 // the sweep_hist metric; never feeds detector decisions.
                 let sweep_started = std::time::Instant::now();
-                set.sweep(now, &mut events);
+                state.set.sweep(now, &mut events);
                 shared
                     .sweep_hist
                     .observe_ns(sweep_started.elapsed().as_nanos() as u64);
             }
-            next_expiry = set.next_expiry();
-        }
-        // Hot-obs update outside the set lock (lock order: set ≺ hot).
-        // Heartbeats first, then transitions: TD samples are
-        // order-insensitive, and the transition list already carries the
-        // exact mistake timeline.
-        if let Some(hot) = &shared.hot {
-            if !scratch.is_empty() || (track_transitions && !events.is_empty()) {
-                // hotpath:allow(block) — the worker's own hot lock,
-                // taken after releasing `set` (lock order: set ≺ hot),
-                // held for the O(batch) tracker update; contended only
-                // by scrape/query calls, which are short and rare.
-                let mut hot = hot.lock();
-                for ((stream, seq, arrival, _incarnation), decision) in scratch.drain(..) {
-                    hot.on_heartbeat(stream, seq, arrival, decision);
-                }
-                if track_transitions {
-                    for event in &events {
-                        hot.on_transition(event);
-                    }
+            // Heartbeats first, then the pass's transitions: TD samples
+            // are order-insensitive, and the transition list already
+            // carries the exact mistake timeline.
+            if let Some(obs) = &mut state.obs {
+                for (slot, job, decision) in observed.drain(..) {
+                    obs.on_heartbeat(slot, job, decision);
                 }
             }
-            if batch > 0 {
-                // Release pairs with the Acquire in `flush`: once the
-                // count covers a heartbeat, its tracker update (and the
-                // transitions of the same pass, applied just above) is
-                // visible to whoever the barrier releases.
-                shared
-                    .obs_applied
-                    .fetch_add(batch as u64, Ordering::Release);
-            }
+            state.observe_transitions(&events);
+            next_expiry = state.set.next_expiry();
         }
         publish(&shared, &events_tx, &events_dropped, &mut events);
         if disconnected {
@@ -1306,7 +1289,7 @@ fn shard_worker(
             // Just drained a batch: under load the producer refills the
             // queue within a yield, and picking the next batch up here
             // skips the park/wake context switch entirely. The wait
-            // touches only the queue (never the detector set lock, so
+            // touches only the queue (never the shard lock, so
             // it cannot contend with queries or scrapes); if the queue
             // stays empty the next pass sweeps once and parks as
             // before.
@@ -1352,7 +1335,8 @@ fn publish(
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
-    use twofd_core::DetectorSpec;
+    use std::collections::HashMap;
+    use twofd_core::{DetectorSpec, QosSpec};
     use twofd_obs::QosTrackerConfig;
     use twofd_sim::time::Span;
 
@@ -1383,7 +1367,7 @@ mod tests {
         let (rt, clock) = runtime_with_manual_clock(4);
         for stream in 0..8u64 {
             clock.advance_to(hb(1));
-            rt.ingest(stream, 1, hb(1));
+            rt.ingest_batch(&[(stream, 1, hb(1), 0)]);
         }
         rt.flush();
         assert_eq!(rt.len(), 8);
@@ -1403,7 +1387,7 @@ mod tests {
         let (rt, clock) = runtime_with_manual_clock(2);
         for seq in 1..=5u64 {
             clock.advance_to(hb(seq));
-            rt.ingest(9, seq, hb(seq));
+            rt.ingest_batch(&[(9, seq, hb(seq), 0)]);
         }
         rt.flush();
         assert_eq!(rt.output(9), Some(FdOutput::Trust));
@@ -1432,8 +1416,8 @@ mod tests {
     fn stale_heartbeats_are_counted() {
         let (rt, clock) = runtime_with_manual_clock(1);
         clock.advance_to(hb(3));
-        rt.ingest(1, 3, hb(3));
-        rt.ingest(1, 2, hb(3)); // stale: lower seq
+        rt.ingest_batch(&[(1, 3, hb(3), 0)]);
+        rt.ingest_batch(&[(1, 2, hb(3), 0)]); // stale: lower seq
         rt.flush();
         assert_eq!(rt.stats().stale(), 1);
     }
@@ -1452,7 +1436,7 @@ mod tests {
         };
         let rt = ShardRuntime::new(config, clock.clone() as Arc<dyn TimeSource>);
         for seq in 1..=10_000u64 {
-            rt.ingest(1, seq, hb(seq));
+            rt.ingest_batch(&[(1, seq, hb(seq), 0)]);
         }
         rt.flush();
         let stats = rt.stats();
@@ -1486,8 +1470,8 @@ mod tests {
     fn churn_reconciles_gauges_and_leaks_no_expiries() {
         let (rt, clock) = runtime_with_manual_clock(2);
         clock.advance_to(hb(1));
-        rt.ingest(1, 1, hb(1)); // the churned stream
-        rt.ingest(2, 1, hb(1)); // a stable neighbour on the other shard
+        rt.ingest_batch(&[(1, 1, hb(1), 0)]); // the churned stream
+        rt.ingest_batch(&[(2, 1, hb(1), 0)]); // a stable neighbour on the other shard
         rt.flush();
         assert_eq!(rt.len(), 2);
 
@@ -1501,7 +1485,7 @@ mod tests {
             // ...so the same sequence number is fresh again.
             let at = hb(round);
             clock.advance_to(at);
-            rt.ingest(1, round, at);
+            rt.ingest_batch(&[(1, round, at, 0)]);
             rt.flush();
             assert_eq!(rt.len(), 2, "round {round}: stream count drifted");
             let stats = rt.stats();
@@ -1571,8 +1555,8 @@ mod tests {
         };
         let rt = ShardRuntime::new(config, clock.clone() as Arc<dyn TimeSource>);
         clock.advance_to(hb(1));
-        rt.ingest(4, 1, hb(1));
-        rt.ingest(5, 1, hb(1));
+        rt.ingest_batch(&[(4, 1, hb(1), 0)]);
+        rt.ingest_batch(&[(5, 1, hb(1), 0)]);
         rt.flush();
         let horizons: HashMap<u64, Nanos> = rt
             .statuses()
@@ -1618,7 +1602,7 @@ mod tests {
         let (rt, clock) = runtime_with_manual_clock(8);
         clock.advance_to(hb(1));
         for stream in 0..64u64 {
-            rt.ingest(stream, 1, hb(1));
+            rt.ingest_batch(&[(stream, 1, hb(1), 0)]);
         }
         drop(rt); // must not hang
     }
@@ -1628,7 +1612,7 @@ mod tests {
         let (rt, clock) = runtime_with_manual_clock(2);
         for seq in 1..=3u64 {
             clock.advance_to(hb(seq));
-            rt.ingest(7, seq, hb(seq));
+            rt.ingest_batch(&[(7, seq, hb(seq), 0)]);
         }
         rt.flush();
         let text = rt.registry().render();
@@ -1656,7 +1640,7 @@ mod tests {
     fn bumped_incarnation_recovers_a_suspected_stream() {
         let (rt, clock) = runtime_with_manual_clock(1);
         clock.advance_to(hb(1));
-        rt.ingest_incarnated(3, 1, hb(1), 0);
+        rt.ingest_batch(&[(3, 1, hb(1), 0)]);
         rt.flush();
         let horizon = rt.statuses()[0].trust_until.unwrap();
         clock.advance_to(horizon + Span::from_secs(1));
@@ -1666,7 +1650,7 @@ mod tests {
         // 0, fresh under incarnation 1.
         let restart = horizon + Span::from_secs(2);
         clock.advance_to(restart);
-        rt.ingest_incarnated(3, 1, restart, 1);
+        rt.ingest_batch(&[(3, 1, restart, 1)]);
         rt.flush();
         assert_eq!(rt.output(3), Some(FdOutput::Trust));
         let events: Vec<FleetEvent> = rt.events().try_iter().collect();
@@ -1685,7 +1669,7 @@ mod tests {
         assert_eq!(stats.recovered(), 1);
         assert_eq!(stats.transitions(), 3);
         // A frame from the dead incarnation is stale, not applied.
-        rt.ingest_incarnated(3, 50, restart + Span::from_millis(1), 0);
+        rt.ingest_batch(&[(3, 50, restart + Span::from_millis(1), 0)]);
         rt.flush();
         assert_eq!(rt.stats().stale(), 1);
         let text = rt.registry().render();
@@ -1723,23 +1707,169 @@ mod tests {
         assert_eq!(rt.output(6), Some(FdOutput::Suspect));
     }
 
-    #[test]
-    fn qos_tracking_reports_metrics_and_verdicts() {
+    /// One shard with the jitter histogram and a cumulative QoS tracker
+    /// (judged against a contract) on every stream; workers parked far away, so only `sweep_now`
+    /// publishes expiries.
+    fn qos_runtime() -> (ShardRuntime, Arc<ManualClock>) {
         let clock = Arc::new(ManualClock::new());
         let config = ShardConfig {
             detector: plan(),
             n_shards: 1,
-            sweep_interval: Duration::from_millis(1),
+            sweep_interval: Duration::from_secs(3600),
             obs: ObsOptions {
                 jitter: true,
-                qos: Some(QosPlan::Uniform(QosTrackerConfig::cumulative(DI))),
+                qos: Some(QosPlan::Uniform(QosTrackerConfig {
+                    spec: Some(QosSpec::new(1.0, 10.0, 1.0)),
+                    ..QosTrackerConfig::cumulative(DI)
+                })),
             },
             ..ShardConfig::default()
         };
         let rt = ShardRuntime::new(config, clock.clone() as Arc<dyn TimeSource>);
+        (rt, clock)
+    }
+
+    /// Feeds `stream` beats `seqs` on the nominal schedule, one pass each.
+    fn beats(
+        rt: &ShardRuntime,
+        clock: &ManualClock,
+        stream: u64,
+        incarnation: u32,
+        seqs: std::ops::RangeInclusive<u64>,
+        offset: Span,
+    ) {
+        for seq in seqs {
+            let at = hb(seq) + offset;
+            clock.advance_to(at);
+            rt.ingest_batch(&[(stream, seq, at, incarnation)]);
+            rt.flush();
+        }
+    }
+
+    /// Lets `stream`'s horizon pass, publishes the suspicion, and ends
+    /// it two seconds later with beat `seq` of boot `incarnation`: a
+    /// mistake if the boot is the same, a justified suspicion if not.
+    fn suspect_then_beat(
+        rt: &ShardRuntime,
+        clock: &ManualClock,
+        stream: u64,
+        incarnation: u32,
+        seq: u64,
+    ) {
+        let horizon = rt
+            .statuses()
+            .iter()
+            .find(|st| st.key == stream)
+            .and_then(|st| st.trust_until)
+            .expect("stream is trusted");
+        clock.advance_to(horizon + Span::from_secs(1));
+        rt.sweep_now();
+        assert_eq!(rt.output(stream), Some(FdOutput::Suspect));
+        let offset = (horizon + Span::from_secs(2)).saturating_since(hb(seq));
+        beats(rt, clock, stream, incarnation, seq..=seq, offset);
+    }
+
+    fn slot_of(rt: &ShardRuntime, stream: u64) -> Option<u32> {
+        rt.shard_of(stream).shared.state.lock().set.slot_of(&stream)
+    }
+
+    fn jitter_count(rt: &ShardRuntime) -> u64 {
+        let text = rt.registry().render();
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("twofd_interarrival_seconds_count{shard=\"0\"}"))
+            .expect("jitter histogram rendered");
+        line.rsplit(' ').next().unwrap().parse().unwrap()
+    }
+
+    /// Regression (exposition leak): `deregister` must drop the stream's
+    /// `twofd_qos_*` series, not leave them rendering their last values
+    /// forever; a re-registered stream comes back with no history.
+    #[test]
+    fn deregister_releases_the_streams_qos_series() {
+        let (rt, clock) = qos_runtime();
+        beats(&rt, &clock, 5, 0, 1..=5, Span(0));
+        suspect_then_beat(&rt, &clock, 5, 0, 6);
+        assert_eq!(rt.qos_metrics(5).expect("tracked").mistakes, 1);
+        let text = rt.registry().render();
+        assert!(text.contains("twofd_qos_query_accuracy{stream=\"5\"}"));
+        assert!(text.contains("twofd_qos_axis_violated{stream=\"5\","));
+
+        assert!(rt.deregister(5));
+        let text = rt.registry().render();
+        assert!(!text.contains("stream=\"5\""), "series leaked:\n{text}");
+        assert!(rt.qos_metrics(5).is_none());
+
+        // Back from zero history: the old mistake is not remembered.
+        let resume = clock.now().saturating_since(hb(0));
+        beats(&rt, &clock, 5, 0, 1..=3, resume);
+        assert_eq!(rt.qos_metrics(5).expect("tracked again").mistakes, 0);
+        let text = rt.registry().render();
+        assert!(
+            text.contains("twofd_qos_query_accuracy{stream=\"5\"} 1"),
+            "{text}"
+        );
+    }
+
+    /// Slot indexing must not leak across occupants: a stream that takes
+    /// a deregistered stream's recycled slot starts with no tracker
+    /// history, and the jitter histogram sees no gap between the two.
+    #[test]
+    fn recycled_slot_starts_with_no_obs_state() {
+        let (rt, clock) = qos_runtime();
+        beats(&rt, &clock, 5, 0, 1..=5, Span(0));
+        suspect_then_beat(&rt, &clock, 5, 0, 6);
+        assert_eq!(rt.qos_metrics(5).expect("tracked").mistakes, 1);
+        assert_eq!(jitter_count(&rt), 5, "six beats, five gaps");
+
+        let slot = slot_of(&rt, 5);
+        assert!(rt.deregister(5));
+        rt.register(8);
+        assert_eq!(slot_of(&rt, 8), slot, "8 takes 5's recycled slot");
+        assert!(rt.qos_metrics(5).is_none());
+        assert!(rt.qos_metrics(8).is_none(), "registered, not yet heard");
+
+        let resume = clock.now().saturating_since(hb(0));
+        beats(&rt, &clock, 8, 0, 1..=3, resume);
+        let metrics = rt.qos_metrics(8).expect("tracked");
+        assert_eq!(metrics.mistakes, 0);
+        assert!(
+            metrics.observed_secs < 1.0,
+            "8 has been observed for two intervals, not since 5's first beat: {metrics:?}"
+        );
+        assert_eq!(
+            jitter_count(&rt),
+            5 + 2,
+            "no gap from 5's last beat to 8's first"
+        );
+    }
+
+    /// A restart is not churn: the tracker stays on the stream's slot
+    /// across an incarnation bump, and the `Recovered` transition closes
+    /// the open suspicion as justified rather than as a mistake.
+    #[test]
+    fn tracker_survives_an_incarnation_bump_on_its_slot() {
+        let (rt, clock) = qos_runtime();
+        beats(&rt, &clock, 3, 0, 1..=5, Span(0));
+        let slot = slot_of(&rt, 3);
+        suspect_then_beat(&rt, &clock, 3, 1, 1);
+        assert_eq!(slot_of(&rt, 3), slot);
+        assert_eq!(rt.stats().recovered(), 1);
+        let metrics = rt.qos_metrics(3).expect("tracked");
+        assert_eq!(metrics.mistakes, 0, "{metrics:?}");
+        assert!((metrics.query_accuracy - 1.0).abs() < 1e-9, "{metrics:?}");
+        assert!(
+            metrics.observed_secs > 2.0,
+            "the first boot's history is kept: {metrics:?}"
+        );
+    }
+
+    #[test]
+    fn qos_tracking_reports_metrics_and_verdicts() {
+        let (rt, clock) = qos_runtime();
         for seq in 1..=20u64 {
             clock.advance_to(hb(seq));
-            rt.ingest(5, seq, hb(seq));
+            rt.ingest_batch(&[(5, seq, hb(seq), 0)]);
             rt.flush();
         }
         let metrics = rt.qos_metrics(5).expect("tracker attached");

@@ -23,7 +23,6 @@
 //! tells the monitor that a sequence-number reset is a new boot of the
 //! same process rather than a stale duplicate.
 
-use bytes::Bytes;
 use twofd_sim::time::Nanos;
 
 /// Datagram magic bytes.
@@ -82,9 +81,9 @@ impl std::error::Error for WireError {}
 
 impl Heartbeat {
     /// Encodes the heartbeat (current version) into a caller-provided
-    /// buffer, without allocating. This is the sender hot-loop and
-    /// batch-arena path; [`Heartbeat::encode`] wraps it for callers that
-    /// want an owned buffer.
+    /// buffer. This is the sender hot-loop and batch-arena path;
+    /// [`Heartbeat::encode`] wraps it for callers that want the frame
+    /// by value.
     pub fn encode_into(&self, buf: &mut [u8; WIRE_SIZE]) {
         buf[0..4].copy_from_slice(&MAGIC);
         buf[4..6].copy_from_slice(&VERSION.to_le_bytes());
@@ -96,31 +95,11 @@ impl Heartbeat {
         buf[36..40].copy_from_slice(&0u32.to_le_bytes());
     }
 
-    /// Encodes the heartbeat into a fresh owned buffer.
-    pub fn encode(&self) -> Bytes {
+    /// Encodes the heartbeat (current version) into a frame by value.
+    pub fn encode(&self) -> [u8; WIRE_SIZE] {
         let mut buf = [0u8; WIRE_SIZE];
         self.encode_into(&mut buf);
-        Bytes::copy_from_slice(&buf)
-    }
-
-    /// Encodes the heartbeat as a version-1 (crash-stop) frame,
-    /// dropping the incarnation field — what a pre-federation sender
-    /// puts on the wire. Kept for compatibility tests and mixed-version
-    /// fleets.
-    pub fn encode_v1_into(&self, buf: &mut [u8; WIRE_SIZE_V1]) {
-        buf[0..4].copy_from_slice(&MAGIC);
-        buf[4..6].copy_from_slice(&VERSION_V1.to_le_bytes());
-        buf[6..8].copy_from_slice(&0u16.to_le_bytes());
-        buf[8..16].copy_from_slice(&self.stream.to_le_bytes());
-        buf[16..24].copy_from_slice(&self.seq.to_le_bytes());
-        buf[24..32].copy_from_slice(&self.sent_at.0.to_le_bytes());
-    }
-
-    /// [`Heartbeat::encode_v1_into`] into a fresh owned buffer.
-    pub fn encode_v1(&self) -> Bytes {
-        let mut buf = [0u8; WIRE_SIZE_V1];
-        self.encode_v1_into(&mut buf);
-        Bytes::copy_from_slice(&buf)
+        buf
     }
 
     /// Decodes a heartbeat from a received datagram. Borrows the slice
@@ -167,6 +146,16 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The version-1 (crash-stop) frame of `hb`, incarnation dropped —
+    /// what a pre-federation sender puts on the wire. Nothing in the
+    /// workspace sends v1 any more; only its decode is kept.
+    fn encode_v1(hb: &Heartbeat) -> [u8; WIRE_SIZE_V1] {
+        let mut buf = [0u8; WIRE_SIZE_V1];
+        buf.copy_from_slice(&hb.encode()[..WIRE_SIZE_V1]);
+        buf[4..6].copy_from_slice(&VERSION_V1.to_le_bytes());
+        buf
+    }
+
     #[test]
     fn encode_produces_fixed_size() {
         let hb = Heartbeat {
@@ -176,7 +165,7 @@ mod tests {
             incarnation: 3,
         };
         assert_eq!(hb.encode().len(), WIRE_SIZE);
-        assert_eq!(hb.encode_v1().len(), WIRE_SIZE_V1);
+        assert_eq!(encode_v1(&hb).len(), WIRE_SIZE_V1);
     }
 
     #[test]
@@ -212,7 +201,7 @@ mod tests {
             sent_at: Nanos(777),
             incarnation: 6, // dropped by the v1 encoding
         };
-        let decoded = Heartbeat::decode(&hb.encode_v1()).unwrap();
+        let decoded = Heartbeat::decode(&encode_v1(&hb)).unwrap();
         assert_eq!(decoded.incarnation, 0);
         assert_eq!(
             decoded,
@@ -296,7 +285,7 @@ mod tests {
         let mut v2 = hb.encode().to_vec();
         v2.extend_from_slice(&[1, 2, 3]);
         assert_eq!(Heartbeat::decode(&v2).unwrap(), hb);
-        let mut v1 = hb.encode_v1().to_vec();
+        let mut v1 = encode_v1(&hb).to_vec();
         v1.extend_from_slice(&[4, 5, 6]);
         assert_eq!(Heartbeat::decode(&v1).unwrap().incarnation, 0);
     }
@@ -311,7 +300,7 @@ mod tests {
         ) {
             let hb = Heartbeat { stream, seq, sent_at: Nanos(at), incarnation: inc };
             prop_assert_eq!(Heartbeat::decode(&hb.encode()).unwrap(), hb);
-            let v1 = Heartbeat::decode(&hb.encode_v1()).unwrap();
+            let v1 = Heartbeat::decode(&encode_v1(&hb)).unwrap();
             prop_assert_eq!(v1, Heartbeat { incarnation: 0, ..hb });
         }
     }

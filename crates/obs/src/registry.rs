@@ -135,6 +135,13 @@ impl Registry {
             .clone()
     }
 
+    fn remove_child(&self, name: &str, values: &[&str]) -> bool {
+        let mut families = self.families.lock().expect("registry poisoned");
+        let family = families.get_mut(name).expect("family registered");
+        let key: Vec<String> = values.iter().map(|s| s.to_string()).collect();
+        family.children.remove(&key).is_some()
+    }
+
     /// Registers (or finds) an unlabeled counter.
     pub fn counter(&self, name: &str, help: &str) -> Counter {
         self.counter_vec(name, help, &[]).with(&[])
@@ -253,6 +260,14 @@ macro_rules! vec_handle {
                 }
             }
 
+            /// Drops the child for these label values, so it is no
+            /// longer rendered; returns whether it existed. Handles
+            /// already resolved are detached: a later `with` starts a
+            /// new child at zero.
+            pub fn remove(&self, values: &[&str]) -> bool {
+                self.registry.remove_child(&self.name, values)
+            }
+
             /// The family's exposition name.
             pub fn name(&self) -> &str {
                 &self.name
@@ -296,6 +311,26 @@ mod tests {
         v.with(&["1"]).inc();
         assert_eq!(v.with(&["0"]).get(), 3);
         assert_eq!(v.with(&["1"]).get(), 1);
+    }
+
+    #[test]
+    fn removed_children_are_not_rendered_and_restart_from_zero() {
+        let r = Registry::new();
+        let v = r.gauge_vec("twofd_test_level", "help", &["stream"]);
+        let five = v.with(&["5"]);
+        five.set(0.25);
+        v.with(&["6"]).set(0.5);
+        assert!(v.remove(&["5"]));
+        assert!(!v.remove(&["5"]), "already gone");
+        let text = r.render();
+        assert!(!text.contains("stream=\"5\""), "{text}");
+        assert!(
+            text.contains("twofd_test_level{stream=\"6\"} 0.5"),
+            "{text}"
+        );
+        // The old handle is detached; resolving again starts from zero.
+        five.set(0.75);
+        assert_eq!(v.with(&["5"]).get(), 0.0);
     }
 
     #[test]

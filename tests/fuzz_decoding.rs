@@ -8,6 +8,15 @@ use twofd::net::{Heartbeat, Job, ManualClock, ShardConfig, ShardRuntime, WIRE_SI
 use twofd::prelude::*;
 use twofd::trace::{decode_binary, decode_csv, encode_binary};
 
+/// The version-1 (crash-stop) frame of `hb`: the 32-byte prefix the two
+/// versions share, stamped version 1. Nothing in the workspace sends v1
+/// any more, so the encoder lives with the tests of its decoder.
+fn encode_v1(hb: &Heartbeat) -> Vec<u8> {
+    let mut frame = hb.encode()[..WIRE_SIZE_V1].to_vec();
+    frame[4..6].copy_from_slice(&twofd::net::wire::VERSION_V1.to_le_bytes());
+    frame
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -50,7 +59,7 @@ proptest! {
         let hb = Heartbeat { stream, seq, sent_at: Nanos(at), incarnation };
         prop_assert_eq!(Heartbeat::decode(&hb.encode()).unwrap(), hb);
         prop_assert_eq!(
-            Heartbeat::decode(&hb.encode_v1()).unwrap(),
+            Heartbeat::decode(&encode_v1(&hb)).unwrap(),
             Heartbeat { incarnation: 0, ..hb }
         );
     }
@@ -111,7 +120,7 @@ proptest! {
             };
             match kind {
                 0 => datagrams.push(hb.encode().to_vec()),
-                1 => datagrams.push(hb.encode_v1().to_vec()),
+                1 => datagrams.push(encode_v1(&hb)),
                 // Truncated: shorter than WIRE_SIZE, never valid —
                 // lengths in [WIRE_SIZE_V1, WIRE_SIZE) claim a v2 frame
                 // whose incarnation field is cut off.

@@ -13,8 +13,15 @@
 //! only when something scrapes it; the second test holds that to the
 //! same oracle restricted to the last window, whether or not the
 //! tracker was scraped along the way.
+//!
+//! The trackers live under the shard's one lock, next to the detectors
+//! that feed them, so a caller-side `sweep_now` racing the worker cannot
+//! hand a tracker a later transition before an earlier pass; the third
+//! test runs such a sweeper flat out beside the feed and holds the
+//! result to the same oracle.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use twofd::core::{replay, DetectorConfig, DetectorSpec, FailureDetector, Mistake, QosMetrics};
 use twofd::net::{ManualClock, ObsOptions, ShardConfig, ShardRuntime, TimeSource};
@@ -42,11 +49,13 @@ fn detector_config(interval: Span) -> DetectorConfig {
 /// Drives `trace` through a QoS-tracking shard runtime under the
 /// determinism protocol and snapshots the online metrics at the trace
 /// horizon — after scraping them every `scrape_every` arrivals on the
-/// way there, if asked to.
+/// way there, if asked to, and with a second thread calling
+/// `sweep_now()` in a loop for as long as the feed lasts, if asked to.
 fn online_metrics(
     trace: &Trace,
     tracker: QosTrackerConfig,
     scrape_every: Option<usize>,
+    concurrent_sweeper: bool,
 ) -> QosMetrics {
     let clock = Arc::new(ManualClock::new());
     let rt = ShardRuntime::new(
@@ -64,15 +73,30 @@ fn online_metrics(
         clock.clone() as Arc<dyn TimeSource>,
     );
 
-    for (i, a) in trace.arrivals().into_iter().enumerate() {
-        clock.advance_to(a.at);
-        rt.ingest(9, a.seq, a.at);
-        if scrape_every.is_some_and(|every| i % every == every - 1) {
-            rt.flush();
-            rt.qos_metrics(9).expect("stream 9 is tracked");
+    let feeding = AtomicBool::new(true);
+    std::thread::scope(|scope| {
+        if concurrent_sweeper {
+            let (started_tx, started_rx) = mpsc::channel();
+            let (rt, feeding) = (&rt, &feeding);
+            scope.spawn(move || {
+                started_tx.send(()).expect("feeder is waiting");
+                while feeding.load(Ordering::SeqCst) {
+                    rt.sweep_now();
+                }
+            });
+            started_rx.recv().expect("sweeper started");
         }
-    }
-    rt.flush();
+        for (i, a) in trace.arrivals().into_iter().enumerate() {
+            clock.advance_to(a.at);
+            rt.ingest_batch(&[(9, a.seq, a.at, 0)]);
+            if scrape_every.is_some_and(|every| i % every == every - 1) {
+                rt.flush();
+                rt.qos_metrics(9).expect("stream 9 is tracked");
+            }
+        }
+        rt.flush();
+        feeding.store(false, Ordering::SeqCst);
+    });
     clock.advance_to(trace.end_time());
     rt.qos_metrics(9).expect("stream 9 is tracked")
 }
@@ -134,7 +158,12 @@ fn online_tracker_matches_offline_replay_metrics() {
         let offline = replay(&mut fd, &trace).metrics();
         saw_mistakes |= offline.mistakes > 0;
 
-        let online = online_metrics(&trace, QosTrackerConfig::cumulative(trace.interval), None);
+        let online = online_metrics(
+            &trace,
+            QosTrackerConfig::cumulative(trace.interval),
+            None,
+            false,
+        );
 
         assert_eq!(
             online.mistakes, offline.mistakes,
@@ -172,8 +201,8 @@ fn sliding_window_tracker_matches_the_offline_window_scraped_or_not() {
         let offline = offline_window_metrics(&trace, window);
         saw_mistakes |= offline.mistakes > 0;
 
-        let unscraped = online_metrics(&trace, tracker, None);
-        let scraped = online_metrics(&trace, tracker, Some(7));
+        let unscraped = online_metrics(&trace, tracker, None, false);
+        let scraped = online_metrics(&trace, tracker, Some(7), false);
         assert_eq!(
             scraped, unscraped,
             "seed {seed}: scraping along the way changed the final window"
@@ -207,5 +236,45 @@ fn sliding_window_tracker_matches_the_offline_window_scraped_or_not() {
     assert!(
         saw_mistakes,
         "no seed had a mistake in its last window; the clipping paths never ran"
+    );
+}
+
+/// A caller-side sweeper racing the worker publishes some of the
+/// suspicions the worker (or the next heartbeat) would have; whoever
+/// publishes a transition also feeds it to the tracker under the same
+/// lock hold, so the tracker sees each stream's transitions in timeline
+/// order and the online numbers do not move.
+#[test]
+fn concurrent_sweep_now_leaves_the_online_metrics_on_the_oracle() {
+    let mut saw_mistakes = false;
+    for seed in [3u64, 17, 40, 71, 104] {
+        let trace = WanTraceConfig::small(400, seed).generate();
+        let offline = replay(&mut detector_config(trace.interval).build(), &trace).metrics();
+        saw_mistakes |= offline.mistakes > 0;
+
+        let online = online_metrics(
+            &trace,
+            QosTrackerConfig::cumulative(trace.interval),
+            None,
+            true,
+        );
+
+        assert_eq!(
+            online.mistakes, offline.mistakes,
+            "seed {seed}: mistake counts diverged"
+        );
+        assert_close("T_D", online.detection_time, offline.detection_time, seed);
+        assert_close("λ_M", online.mistake_rate, offline.mistake_rate, seed);
+        assert_close(
+            "T_M",
+            online.avg_mistake_duration,
+            offline.avg_mistake_duration,
+            seed,
+        );
+        assert_close("P_A", online.query_accuracy, offline.query_accuracy, seed);
+    }
+    assert!(
+        saw_mistakes,
+        "no seed produced a mistake; the sweeper had nothing to race for"
     );
 }

@@ -39,7 +39,7 @@ fn overloaded_shards_reconcile_received_as_applied_plus_dropped() {
 
     let start = Instant::now();
     for seq in 1..=80_000u64 {
-        rt.ingest(seq % 128, seq, Nanos(seq));
+        rt.ingest_batch(&[(seq % 128, seq, Nanos(seq), 0)]);
     }
     assert!(
         start.elapsed() < Duration::from_secs(10),
@@ -180,7 +180,7 @@ fn overflowed_event_channel_counts_its_losses() {
         for stream in 0..64u64 {
             let at = Nanos(seq * INTERVAL.0 + stream);
             clock.advance_to(at);
-            rt.ingest(stream, seq, at);
+            rt.ingest_batch(&[(stream, seq, at, 0)]);
         }
         rt.flush();
     }

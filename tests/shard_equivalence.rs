@@ -100,7 +100,7 @@ fn sharded_runtime_matches_sequential_replay_event_for_event() {
         // sweep can expire a horizon a pending heartbeat extends.
         for &(at, stream, seq) in &schedule {
             clock.advance_to(at);
-            rt.ingest(stream, seq, at);
+            rt.ingest_batch(&[(stream, seq, at, 0)]);
         }
         rt.flush();
         clock.advance_to(global_horizon);
@@ -151,7 +151,7 @@ fn sharded_runtime_matches_sequential_replay_event_for_event() {
 
 /// Batched ingest must be *invisible*: feeding the same schedule through
 /// `ingest_batch` in arbitrary batch sizes has to yield the exact event
-/// timeline of per-heartbeat `ingest` — which in turn is the replay
+/// timeline of one job per call — which in turn is the replay
 /// oracle's. One delivery schedule, two runtimes, event-for-event
 /// equality plus identical accounting.
 #[test]
@@ -189,12 +189,12 @@ fn batched_ingest_matches_per_heartbeat_ingest_event_for_event() {
             )
         };
 
-        // Per-heartbeat reference: the seed determinism protocol.
+        // One-job-per-call reference: the seed determinism protocol.
         let clock_a = Arc::new(ManualClock::new());
         let rt_a = spawn(clock_a.clone());
         for &(at, stream, seq) in &schedule {
             clock_a.advance_to(at);
-            rt_a.ingest(stream, seq, at);
+            rt_a.ingest_batch(&[(stream, seq, at, 0)]);
         }
         rt_a.flush();
         clock_a.advance_to(global_horizon);
@@ -330,7 +330,8 @@ fn one_pass_carrying_a_streams_whole_history_matches_per_job_ingest() {
         let mut expected = Vec::new();
         let mut expected_stale = 0u64;
         for &(stream, seq, at, incarnation) in &jobs {
-            let d = reference.on_heartbeat_incarnated(stream, incarnation, seq, at, &mut expected);
+            let (_slot, d) =
+                reference.on_heartbeat_incarnated(stream, incarnation, seq, at, &mut expected);
             expected_stale += u64::from(d.is_none());
         }
         reference.sweep(horizon, &mut expected);
@@ -389,8 +390,8 @@ fn one_pass_carrying_a_streams_whole_history_matches_per_job_ingest() {
         // worker finds all of it, or none of it, when it looks.
         let (one_pass, stale_one_pass) = run(&|rt| rt.ingest_batch(&jobs));
         let (per_job, stale_per_job) = run(&|rt| {
-            for &(stream, seq, at, incarnation) in &jobs {
-                rt.ingest_incarnated(stream, seq, at, incarnation);
+            for job in &jobs {
+                rt.ingest_batch(std::slice::from_ref(job));
                 rt.flush();
             }
         });
@@ -487,7 +488,7 @@ fn saturated_shard_queue_drops_and_counts_instead_of_blocking() {
     // accounted for as processed-or-dropped.
     let start = Instant::now();
     for seq in 1..=50_000u64 {
-        rt.ingest(seq % 256, seq, Nanos(seq));
+        rt.ingest_batch(&[(seq % 256, seq, Nanos(seq), 0)]);
     }
     assert!(
         start.elapsed() < Duration::from_secs(5),
@@ -504,8 +505,8 @@ fn saturated_shard_queue_drops_and_counts_instead_of_blocking() {
 // Wheel-vs-heap differential property test.
 //
 // `ProcessSet` (dense slots + hierarchical timing wheel) and
-// `HeapProcessSet` (the original lazy-deletion binary heap, kept as the
-// reference oracle) implement the same published-timeline contract. On a
+// `HeapProcessSet` (the original lazy-deletion binary heap, kept in
+// `tests/support/heap_oracle.rs` as the reference oracle) implement the same published-timeline contract. On a
 // random interleaving of heartbeats, sweeps, registrations and
 // deregistrations they must agree on:
 //
@@ -516,10 +517,14 @@ fn saturated_shard_queue_drops_and_counts_instead_of_blocking() {
 //   * final outputs and trusted/suspected counts.
 // ---------------------------------------------------------------------------
 
+#[path = "support/heap_oracle.rs"]
+mod heap_oracle;
+
 mod wheel_heap_differential {
+    use super::heap_oracle::HeapProcessSet;
     use super::*;
     use proptest::prelude::*;
-    use twofd::core::{HeapProcessSet, ProcessSet, StreamTransition};
+    use twofd::core::{ProcessSet, StreamTransition};
 
     const N_STREAMS: u64 = 6;
 
@@ -611,8 +616,8 @@ mod wheel_heap_differential {
                             }
                             (*c).max(1)
                         };
-                        let dw = wheel.on_heartbeat_with_events(
-                            stream, seq, now, &mut wheel_events,
+                        let (_slot, dw) = wheel.on_heartbeat_incarnated(
+                            stream, 0, seq, now, &mut wheel_events,
                         );
                         let dh = heap.on_heartbeat_with_events(
                             stream, seq, now, &mut heap_events,

@@ -1,12 +1,14 @@
 //! The heap-based reference `ProcessSet` — differential oracle for the
-//! timing-wheel implementation.
+//! timing-wheel implementation, `mod`-included by
+//! `tests/shard_equivalence.rs`.
 //!
 //! This is the original lazy-deletion `BinaryHeap` process set that
-//! [`crate::ProcessSet`] replaced, kept as an independently simple
+//! `twofd::core::ProcessSet` replaced, kept as an independently simple
 //! implementation of the *same* published-timeline contract so the
-//! wheel can be differentially tested against it (see the proptest in
-//! `tests/shard_equivalence.rs`). Two deliberate fixes over the
-//! historical version:
+//! wheel can be differentially tested against it. It keeps only the
+//! entry points the proptest calls, crash-stop semantics only (it never
+//! sees an incarnation). Two deliberate fixes over the historical
+//! version:
 //!
 //! 1. **Stale-horizon fix** ([`HeapProcessSet::next_expiry`]): the old
 //!    `next_expiry` peeked the heap top blindly, so it could report a
@@ -23,17 +25,17 @@
 //!    expiry is published at the first sweep past it rather than at the
 //!    first sweep past the stream's *previous* horizon).
 //!
-//! Unlike [`crate::ProcessSet`] this keeps the `K: Ord` bound (heap
+//! Unlike the wheel-backed set this keeps the `K: Ord` bound (heap
 //! entries are `(Nanos, K)` tuples) and scans full detector entries for
-//! status queries; it is for tests and small sets, not the fleet path.
+//! status queries.
 
-use crate::detector::{Decision, FailureDetector, FdOutput};
-use crate::multi::{DetectorBuilder, ProcessStatus, StreamTransition, TransitionKind};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::Hash;
-
-use twofd_sim::time::Nanos;
+use twofd::core::{
+    Decision, DetectorBuilder, FailureDetector, FdOutput, StreamTransition, TransitionKind,
+};
+use twofd::sim::Nanos;
 
 struct Entry<D> {
     fd: D,
@@ -84,15 +86,10 @@ where
     }
 
     /// Feeds a heartbeat from process `key`, auto-registering unknown
-    /// processes. Returns the decision (None for stale heartbeats).
-    pub fn on_heartbeat(&mut self, key: K, seq: u64, arrival: Nanos) -> Option<Decision> {
-        let mut scratch = Vec::new();
-        self.on_heartbeat_with_events(key, seq, arrival, &mut scratch)
-    }
-
-    /// Feeds a heartbeat and appends any resulting output transitions to
-    /// `events` — same contract as
-    /// [`crate::ProcessSet::on_heartbeat_with_events`].
+    /// processes, and appends any resulting output transitions to
+    /// `events` — the crash-stop (incarnation 0) contract of
+    /// `ProcessSet::on_heartbeat_incarnated`. Returns the decision
+    /// (`None` for stale heartbeats).
     pub fn on_heartbeat_with_events(
         &mut self,
         key: K,
@@ -185,23 +182,6 @@ where
         self.detectors.get(key).map(|e| e.fd.output_at(t))
     }
 
-    /// Status snapshot of every monitored process at time `t`, in
-    /// unspecified order.
-    pub fn statuses(&self, t: Nanos) -> Vec<ProcessStatus<K>> {
-        self.detectors
-            .iter()
-            .map(|(key, e)| ProcessStatus {
-                key: key.clone(),
-                output: e.fd.output_at(t),
-                last_seq: e.fd.last_seq(),
-                trust_until: e.fd.current_decision().map(|d| d.trust_until),
-                // The heap oracle is the crash-stop reference; it never
-                // sees an incarnation.
-                incarnation: 0,
-            })
-            .collect()
-    }
-
     /// `(trusted, suspected)` process counts at time `t`.
     pub fn counts(&self, t: Nanos) -> (usize, usize) {
         let mut trusted = 0;
@@ -219,18 +199,13 @@ where
     pub fn len(&self) -> usize {
         self.detectors.len()
     }
-
-    /// True when no process is monitored.
-    pub fn is_empty(&self) -> bool {
-        self.detectors.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::twofd::TwoWindowFd;
-    use twofd_sim::time::Span;
+    use twofd::core::TwoWindowFd;
+    use twofd::sim::Span;
 
     const DI: Span = Span(100_000_000);
 
@@ -242,13 +217,25 @@ mod tests {
         Nanos(seq * DI.0 + 10_000_000)
     }
 
+    /// Feeds one heartbeat; the fresh decision's trust horizon.
+    fn beat(
+        s: &mut HeapProcessSet<&'static str, impl Fn(&&'static str) -> TwoWindowFd>,
+        key: &'static str,
+        seq: u64,
+        at: Nanos,
+    ) -> Nanos {
+        s.on_heartbeat_with_events(key, seq, at, &mut Vec::new())
+            .expect("fresh heartbeat")
+            .trust_until
+    }
+
     #[test]
     fn next_expiry_reports_only_live_horizons() {
         let mut s = set();
+        let mut live = Nanos::ZERO;
         for seq in 1..=5 {
-            s.on_heartbeat("a", seq, hb(seq));
+            live = beat(&mut s, "a", seq, hb(seq));
         }
-        let live = s.statuses(hb(5))[0].trust_until.unwrap();
         // The historical bug: four superseded horizons sit below `live`
         // in the heap. The fixed probe must skip them all.
         assert_eq!(s.next_expiry(), Some(live));
@@ -257,16 +244,9 @@ mod tests {
     #[test]
     fn next_expiry_skips_deregistered_streams() {
         let mut s = set();
-        s.on_heartbeat("a", 1, hb(1));
-        s.on_heartbeat("b", 5, hb(1) + Span::from_millis(1));
+        beat(&mut s, "a", 1, hb(1));
+        let live = beat(&mut s, "b", 5, hb(1) + Span::from_millis(1));
         s.deregister(&"a");
-        let live = s
-            .statuses(hb(1))
-            .iter()
-            .find(|st| st.key == "b")
-            .unwrap()
-            .trust_until
-            .unwrap();
         assert_eq!(s.next_expiry(), Some(live));
         s.deregister(&"b");
         assert_eq!(s.next_expiry(), None);
@@ -276,10 +256,12 @@ mod tests {
     fn sweep_and_synthesis_match_the_published_contract() {
         let mut s = set();
         let mut events = Vec::new();
-        s.on_heartbeat_with_events("a", 1, hb(1), &mut events);
+        let trust_until = s
+            .on_heartbeat_with_events("a", 1, hb(1), &mut events)
+            .expect("fresh heartbeat")
+            .trust_until;
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].output, FdOutput::Trust);
-        let trust_until = s.statuses(hb(1))[0].trust_until.unwrap();
         events.clear();
         s.sweep(trust_until, &mut events);
         assert!(events.is_empty(), "horizon instant itself is exclusive");
