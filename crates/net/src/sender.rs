@@ -108,21 +108,27 @@ impl HeartbeatSender {
         });
         let thread_shared = Arc::clone(&shared);
         let period = Duration::from_nanos(interval.0);
+        // Algorithm 1 sends `m_i` at `i·Δi` on the sender's own time
+        // axis, which starts when the sender does — not at the clock's
+        // zero. A clock reading one hour at start would otherwise put
+        // the sender 3 600 s / Δi beats behind, and it would send them
+        // all back to back.
+        let origin = clock.now();
 
         let thread = thread::Builder::new()
             .name(format!("twofd-sender-{stream}"))
             .spawn(move || {
-                // Algorithm 1 sends `m_i` at absolute time `i·Δi`. Sleep
-                // against those deadlines, not for `period` per loop: a
-                // relative sleep accumulates its overshoot into every
-                // later beat, while sleeping the *residual* to the next
-                // multiple keeps each beat within one scheduler overshoot
-                // of its nominal instant no matter how many came before.
+                // Sleep against absolute deadlines `origin + i·Δi`, not
+                // for `period` per loop: a relative sleep accumulates
+                // its overshoot into every later beat, while sleeping
+                // the *residual* to the next deadline keeps each beat
+                // within one scheduler overshoot of its nominal instant
+                // no matter how many came before.
                 let mut buf = [0u8; WIRE_SIZE];
                 let mut seq = 0u64;
                 loop {
                     seq += 1;
-                    let deadline = Nanos(interval.0.saturating_mul(seq));
+                    let deadline = Nanos(origin.0.saturating_add(interval.0.saturating_mul(seq)));
                     loop {
                         let residual = deadline.saturating_since(clock.now());
                         if residual.is_zero() {
@@ -218,6 +224,8 @@ impl Drop for HeartbeatSender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::ManualClock;
+    use crate::transport::{sim_channel, Transport};
     use std::net::UdpSocket;
     use std::time::Instant;
 
@@ -332,6 +340,58 @@ mod tests {
                 deadline
             );
         }
+        drop(sender);
+    }
+
+    /// Beat `i` is due at the sender's start plus `i·Δi`. Started on a
+    /// clock that already reads one hour, the sender must not believe
+    /// itself 36 000 beats late and send them back to back (a burst an
+    /// in-memory inbox sheds part of, leaving the monitor's long window
+    /// with samples an hour of sequence numbers apart). Nothing goes out
+    /// until the clock reaches start + Δi; after that each Δi the clock
+    /// advances releases exactly one beat, stamped with that instant.
+    #[test]
+    fn beats_are_anchored_at_the_senders_start_not_the_clocks_zero() {
+        let clock = Arc::new(ManualClock::new());
+        let start = Nanos::from_secs(3600);
+        clock.advance_to(start);
+        let interval = Span::from_millis(100);
+        let (tx, mut rx) = sim_channel(1 << 16);
+        let sender =
+            HeartbeatSender::spawn_on(11, interval, tx, clock.clone() as Arc<dyn TimeSource>)
+                .unwrap();
+        // Every received beat, in order; an idle inbox returns nothing
+        // after its receive timeout.
+        let mut received = || -> Vec<Heartbeat> {
+            let n = rx.recv_batch().unwrap_or(0);
+            (0..n)
+                .map(|i| Heartbeat::decode(rx.datagram(i)).unwrap())
+                .collect()
+        };
+
+        clock.advance_to(Nanos(start.0 + interval.0 - 1));
+        for _ in 0..3 {
+            let early = received().len();
+            assert_eq!(early, 0, "{early} beats before start + Δi");
+        }
+        for seq in 1..=10u64 {
+            let due = Nanos(start.0 + interval.0 * seq);
+            clock.advance_to(due);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let mut got = Vec::new();
+            while got.is_empty() && Instant::now() < deadline {
+                got = received();
+            }
+            let expected = Heartbeat {
+                stream: 11,
+                seq,
+                sent_at: due,
+                incarnation: 0,
+            };
+            assert_eq!(got, vec![expected], "the beat due at {due:?}");
+        }
+        let early = received().len();
+        assert_eq!(early, 0, "{early} beats the clock has not reached");
         drop(sender);
     }
 

@@ -49,10 +49,16 @@
 //!   bumps `applied`/`stale` once — the queue lock and the counter
 //!   lines the producer polls are touched per pass, not per heartbeat.
 //! * **Deadline-driven sweeping** — each worker advances its shard's
-//!   hierarchical timing wheel ([`twofd_core::wheel`]) after draining a
-//!   batch, harvesting every expired horizon in one `O(1)`-amortized
-//!   pass and publishing Trust→Suspect transitions at the exact
-//!   `trust_until` instant without anyone querying. An idle worker
+//!   hierarchical timing wheel ([`twofd_core::wheel`]) on every pass,
+//!   harvesting every expired horizon in one `O(1)`-amortized
+//!   sweep and publishing Trust→Suspect transitions at the exact
+//!   `trust_until` instant without anyone querying. A pass that empties
+//!   its queue sweeps up to the clock's `now`; a full pass that leaves
+//!   heartbeats queued sweeps up to the arrival of the last heartbeat
+//!   it applied. So a saturated worker publishes a silent stream's
+//!   Suspect once it has applied heartbeats that arrived after the
+//!   horizon, rather than leaving it to the heartbeat that ends the
+//!   silence (which a crashed process never sends). An idle worker
 //!   *parks* on its queue until [`ProcessSet::next_expiry`] (any
 //!   enqueue wakes it immediately), so idle shards cost ~zero CPU and
 //!   suspicion is published at the freshness point itself rather than
@@ -64,9 +70,13 @@
 //! Because transitions carry exact timestamps (see
 //! [`twofd_core::multi`]), the per-stream event timeline is a pure
 //! function of the heartbeat schedule — scheduling jitter between
-//! workers and sweepers cannot change it. The `shard_equivalence`
-//! integration test exploits this to check the sharded runtime against
-//! the sequential replay oracle event-for-event.
+//! workers and sweepers cannot change it. The sweep horizon of a full
+//! pass relies on each shard queue having one producer that stamps
+//! arrivals in order (the fleet's ingest thread, or a simulator's
+//! driver), so that no queued heartbeat arrived before one already
+//! dequeued. The `shard_equivalence` integration test exploits this to
+//! check the sharded runtime against the sequential replay oracle
+//! event-for-event.
 //!
 //! ## Observability
 //!
@@ -1185,6 +1195,24 @@ fn park_duration(
     })
 }
 
+/// The instant a worker pass sweeps up to: `now`, unless the pass left
+/// heartbeats queued, in which case no later than the arrival of the
+/// last heartbeat it applied.
+///
+/// A shard queue is FIFO behind one producer that stamps arrivals in
+/// order, so every heartbeat still queued arrived at or after
+/// `last_applied`. The sweep retires only horizons strictly before its
+/// instant, so whatever it retires had expired before the next queued
+/// heartbeat of its stream arrived — the same `Suspect`, at the same
+/// stamp, that applying that heartbeat would synthesize. Published
+/// earlier, and identical.
+fn sweep_horizon(now: Nanos, last_applied: Option<Nanos>, left_queued: bool) -> Nanos {
+    match last_applied {
+        Some(arrival) if left_queued => now.min(arrival),
+        _ => now,
+    }
+}
+
 fn shard_worker(
     shared: Arc<ShardShared>,
     rx: Receiver<Job>,
@@ -1212,8 +1240,9 @@ fn shard_worker(
     let mut inbox: Vec<Job> = Vec::with_capacity(MAX_BATCH);
     loop {
         // Read the sweep time *before* draining: anything enqueued before
-        // the clock reached `now` is applied first, so the sweep can
-        // never expire a horizon that a queued heartbeat extends.
+        // the clock reached `now` is dequeued first, so a pass that
+        // empties the queue can sweep at `now` without expiring a
+        // horizon that a queued heartbeat extends.
         let now = clock.now();
         let disconnected;
         let batch;
@@ -1235,6 +1264,7 @@ fn shard_worker(
                 Err(TryRecvError::Disconnected)
             );
             batch = inbox.len();
+            let last_applied = inbox.last().map(|&(_, _, arrival, _)| arrival);
             let mut stale = 0u64;
             for job in inbox.drain(..) {
                 let (stream, seq, arrival, incarnation) = job;
@@ -1259,17 +1289,21 @@ fn shard_worker(
             if stale > 0 {
                 shared.stale.add(stale);
             }
-            // A full pass may have left heartbeats queued: sweeping now
-            // could mis-order against them. Sweep next pass.
-            if batch < MAX_BATCH || rx.is_empty() {
-                // xtask:allow(wall_clock) — measures sweep duration for
-                // the sweep_hist metric; never feeds detector decisions.
-                let sweep_started = std::time::Instant::now();
-                state.set.sweep(now, &mut events);
-                shared
-                    .sweep_hist
-                    .observe_ns(sweep_started.elapsed().as_nanos() as u64);
-            }
+            // Sweep on every pass; one that left heartbeats queued
+            // stops at its last applied arrival (`sweep_horizon`).
+            // Sweeping at `now` whenever `now ≥ next_expiry` would not
+            // be exact: behind a backlog it publishes `Suspect@T` for a
+            // stream whose queued heartbeat arrived in time, then
+            // `Trust@A` with `A < T` once that heartbeat is applied.
+            let left_queued = batch == MAX_BATCH && !rx.is_empty();
+            let horizon = sweep_horizon(now, last_applied, left_queued);
+            // xtask:allow(wall_clock) — measures sweep duration for
+            // the sweep_hist metric; never feeds detector decisions.
+            let sweep_started = std::time::Instant::now();
+            state.set.sweep(horizon, &mut events);
+            shared
+                .sweep_hist
+                .observe_ns(sweep_started.elapsed().as_nanos() as u64);
             // Heartbeats first, then the pass's transitions: TD samples
             // are order-insensitive, and the transition list already
             // carries the exact mistake timeline.
@@ -1279,7 +1313,13 @@ fn shard_worker(
                 }
             }
             state.observe_transitions(&events);
-            next_expiry = state.set.next_expiry();
+            // Its one consumer is the park below, and only a pass that
+            // applied nothing parks: a productive pass lingers instead.
+            next_expiry = if batch == 0 {
+                state.set.next_expiry()
+            } else {
+                None
+            };
         }
         publish(&shared, &events_tx, &events_dropped, &mut events);
         if disconnected {
@@ -1291,8 +1331,8 @@ fn shard_worker(
             // skips the park/wake context switch entirely. The wait
             // touches only the queue (never the shard lock, so
             // it cannot contend with queries or scrapes); if the queue
-            // stays empty the next pass sweeps once and parks as
-            // before.
+            // stays empty the next pass applies nothing, sweeps and
+            // parks.
             let mut spins = DRAIN_LINGER;
             while spins > 0 && rx.is_empty() {
                 thread::yield_now();
@@ -1410,6 +1450,55 @@ mod tests {
         assert_eq!(stats.suspect(), 1);
         assert_eq!(stats.live(), 0);
         assert_eq!(stats.transitions(), 2);
+    }
+
+    /// A full pass that left heartbeats queued never sweeps past the
+    /// last arrival it applied, however far the clock has run ahead of
+    /// the backlog; any other pass sweeps at `now`.
+    #[test]
+    fn a_full_pass_with_queued_jobs_never_sweeps_past_its_last_applied_arrival() {
+        let now = hb(10);
+        assert_eq!(sweep_horizon(now, Some(hb(7)), true), hb(7));
+        // An arrival stamped after the pass read the clock.
+        assert_eq!(sweep_horizon(now, Some(hb(12)), true), now);
+        assert_eq!(sweep_horizon(now, Some(hb(7)), false), now);
+        assert_eq!(sweep_horizon(now, None, false), now);
+
+        // Why: stream 1's beats 1–3 were applied and its on-time beat 4
+        // is still queued when the clock passes beat 3's horizon.
+        let fed = || {
+            let mut set = ProcessSet::new(plan());
+            let mut events = Vec::new();
+            for seq in 1..=3 {
+                set.on_heartbeat_incarnated(1u64, 0, seq, hb(seq), &mut events);
+            }
+            (set, events)
+        };
+        let expiry = fed().0.next_expiry().expect("stream 1 is trusted");
+        assert!(hb(4) < expiry, "beat 4 is on time");
+        let now = expiry + Span::from_millis(50);
+        let timeline = |sweep_at: Nanos| {
+            let (mut set, mut events) = fed();
+            set.sweep(sweep_at, &mut events);
+            set.on_heartbeat_incarnated(1, 0, 4, hb(4), &mut events);
+            events.iter().map(|e| (e.kind, e.at)).collect::<Vec<_>>()
+        };
+        // Swept to the last applied arrival: beat 4 keeps the stream
+        // trusted, as it would have sequentially.
+        assert_eq!(
+            timeline(sweep_horizon(now, Some(hb(3)), true)),
+            vec![(TransitionKind::Trust, hb(1))]
+        );
+        // Swept to `now`: a Suspect the schedule never had, and a Trust
+        // stamped before it.
+        assert_eq!(
+            timeline(now),
+            vec![
+                (TransitionKind::Trust, hb(1)),
+                (TransitionKind::Suspect, expiry),
+                (TransitionKind::Trust, hb(4)),
+            ]
+        );
     }
 
     #[test]

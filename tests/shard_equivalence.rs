@@ -502,6 +502,246 @@ fn saturated_shard_queue_drops_and_counts_instead_of_blocking() {
 }
 
 // ---------------------------------------------------------------------------
+// The sweep horizon under saturation.
+//
+// A closed-loop driver shaped like the spine's `core_wide`: one producer
+// hands an on-time schedule over in 64-job chunks, advances the
+// `ManualClock` to each chunk's last arrival *after* the hand-over, and
+// keeps up to `OUTSTANDING` heartbeats in flight — several worker
+// passes' worth, so passes fill up and leave heartbeats queued while the
+// clock runs ahead of them. Now and then a stream skips two beats. The
+// timeline must still be the replay oracle's, and each Suspect must be
+// published before the beat that ends its silence arrives.
+//
+// One shard, so one worker against one producer: the worker is the
+// slower side and its queue stays full (two workers can keep up with
+// the producer, and then the backlog drains).
+// ---------------------------------------------------------------------------
+
+mod saturation {
+    use super::*;
+    use std::collections::HashMap;
+    use twofd::trace::HeartbeatRecord;
+
+    const INTERVAL: Span = Span(100_000_000); // 100 ms
+    const STREAMS: u64 = 4096;
+    const BEATS: u64 = 40;
+    const CHUNK: usize = 64;
+    /// A worker pass applies at most this many heartbeats...
+    const MAX_BATCH: u64 = 512;
+    /// ...and the producer keeps up to six passes' worth in flight.
+    const OUTSTANDING: u64 = 6 * MAX_BATCH;
+    /// One beat in this many (from `WARM_UP` on) starts a silence...
+    const SILENCE_ONE_IN: u64 = 16;
+    const WARM_UP: u64 = 4;
+    /// ...of this many beats: the stream resumes at `L + 3Δi`, its
+    /// horizon being `L + Δi + MARGIN`.
+    const SILENT_BEATS: u64 = 2;
+
+    fn mix(stream: u64, seq: u64) -> u64 {
+        // splitmix64's finalizer.
+        let mut z = (stream << 32 ^ seq).wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Stream `s` beats at `seq·Δi + s·Δi/STREAMS`, with no delay, except
+    /// inside its silences (which may run into each other).
+    fn traces() -> BTreeMap<u64, Trace> {
+        (0..STREAMS)
+            .map(|stream| {
+                let mut skip = 0;
+                let records = (1..=BEATS)
+                    .map(|seq| {
+                        let send = Nanos(seq * INTERVAL.0 + stream * INTERVAL.0 / STREAMS);
+                        let silent = if skip > 0 {
+                            skip -= 1;
+                            true
+                        } else if seq >= WARM_UP && mix(stream, seq).is_multiple_of(SILENCE_ONE_IN)
+                        {
+                            skip = SILENT_BEATS - 1;
+                            true
+                        } else {
+                            false
+                        };
+                        HeartbeatRecord {
+                            seq,
+                            send,
+                            arrival: (!silent).then_some(send),
+                        }
+                    })
+                    .collect();
+                (stream, Trace::new("saturating", INTERVAL, records))
+            })
+            .collect()
+    }
+
+    /// What the producer saw.
+    #[derive(Default)]
+    struct Run {
+        events: BTreeMap<u64, Vec<(FdOutput, Nanos)>>,
+        /// Per stream, each Suspect's stamp and the clock reading when
+        /// the producer held it.
+        suspects_held: BTreeMap<u64, Vec<(Nanos, Nanos)>>,
+    }
+
+    impl Run {
+        fn hold(&mut self, rt: &ShardRuntime, now: Nanos) {
+            for ev in rt.events().try_iter() {
+                if ev.output == FdOutput::Suspect {
+                    self.suspects_held
+                        .entry(ev.key)
+                        .or_default()
+                        .push((ev.at, now));
+                }
+                self.events
+                    .entry(ev.key)
+                    .or_default()
+                    .push((ev.output, ev.at));
+            }
+        }
+    }
+
+    fn drive(traces: &BTreeMap<u64, Trace>) -> Run {
+        let mut jobs: Vec<Job> = traces
+            .iter()
+            .flat_map(|(&stream, trace)| {
+                trace
+                    .arrivals()
+                    .into_iter()
+                    .map(move |a| (stream, a.seq, a.at, 0))
+            })
+            .collect();
+        jobs.sort_unstable_by_key(|&(stream, _, at, _)| (at, stream));
+
+        let clock = Arc::new(ManualClock::new());
+        let rt = ShardRuntime::new(
+            ShardConfig {
+                detector: detector_config(INTERVAL).into(),
+                n_shards: 1,
+                queue_capacity: 8192,
+                sweep_interval: Duration::from_millis(1),
+                event_capacity: 1 << 16,
+                ..ShardConfig::default()
+            },
+            clock.clone() as Arc<dyn TimeSource>,
+        );
+        // The accounting cells, read without taking the shard lock.
+        let cell = |name: &str| rt.registry().counter_vec(name, "", &["shard"]).with(&["0"]);
+        let (applied, dropped) = (
+            cell("twofd_shard_applied_total"),
+            cell("twofd_shard_dropped_total"),
+        );
+
+        let mut run = Run::default();
+        let mut sent = 0u64;
+        for chunk in jobs.chunks(CHUNK) {
+            rt.ingest_batch(chunk);
+            sent += chunk.len() as u64;
+            // After the hand-over, never before: a sweep at the new
+            // clock value must find these heartbeats already queued.
+            let now = chunk.last().expect("a non-empty chunk").2;
+            clock.advance_to(now);
+            // Wait, then hold: whatever a pass published before the
+            // backlog fell back under the bound is held at `now`.
+            while sent - applied.get() - dropped.get() > OUTSTANDING {
+                std::thread::yield_now();
+            }
+            run.hold(&rt, now);
+        }
+        rt.flush();
+        let horizon = traces.values().map(Trace::end_time).max().unwrap();
+        clock.advance_to(horizon);
+        rt.sweep_now();
+        // The workers publish after releasing the shard lock: collect
+        // until the runtime has published nothing new for a while.
+        let published = || rt.stats().transitions() as usize;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            run.hold(&rt, horizon);
+            let held: usize = run.events.values().map(Vec::len).sum();
+            if held == published() || Instant::now() >= deadline {
+                break;
+            }
+            sleep(Duration::from_millis(1));
+        }
+        sleep(Duration::from_millis(20));
+        run.hold(&rt, horizon);
+        assert_eq!(rt.events_dropped(), 0);
+        let stats = rt.stats();
+        assert_eq!(stats.dropped(), 0, "the queue never sheds");
+        assert_eq!(stats.received(), jobs.len() as u64);
+        assert_eq!(stats.received(), stats.applied());
+        run
+    }
+
+    /// (a) The timeline is the oracle's: sweeping a full pass to its last
+    /// applied arrival publishes nothing the sequential replay would
+    /// not, although the clock runs up to `OUTSTANDING` (75 ms of
+    /// schedule) ahead of the applied heartbeats — more than the 15 ms
+    /// margin, so a sweep at `now` would retire horizons that queued
+    /// heartbeats extend.
+    ///
+    /// (b) Every Suspect is held while the clock still reads before the
+    /// arrival that ends its silence: a sweep published it, not the
+    /// heartbeat that resumed the stream. The bound makes this exact,
+    /// not likely. Once the clock has passed a horizon `D`, the first
+    /// pass to apply a heartbeat that arrived after `D` sweeps past it,
+    /// and at most `2·MAX_BATCH` applies after the first such
+    /// heartbeat. The producer gets past its wait only once a *later*
+    /// pass has bumped `applied`, so the Suspect is held by the time it
+    /// has handed over `2·MAX_BATCH + OUTSTANDING + CHUNK` = 4 160
+    /// heartbeats past `D`; about 6 700 arrive in the 185 ms between
+    /// `D = L + Δi + 15 ms` and the resumption at `L + 3Δi`.
+    #[test]
+    fn saturated_worker_publishes_the_oracles_timeline_suspects_before_resumption() {
+        let traces = traces();
+        let run = drive(&traces);
+
+        let mut resumes: HashMap<(u64, Nanos), Nanos> = HashMap::new();
+        for (&stream, trace) in &traces {
+            let horizon = trace.end_time();
+            let got: Vec<_> = run
+                .events
+                .get(&stream)
+                .cloned()
+                .unwrap_or_default()
+                .into_iter()
+                .filter(|&(_, at)| at < horizon)
+                .collect();
+            let expected = expected_events(trace);
+            assert_eq!(
+                got, expected,
+                "stream {stream} diverged from the replay oracle"
+            );
+            // Each Suspect, by the arrival that ends it.
+            for pair in expected.windows(2) {
+                if let [(FdOutput::Suspect, at), (FdOutput::Trust, resumed)] = *pair {
+                    resumes.insert((stream, at), resumed);
+                }
+            }
+        }
+        let mut checked = 0;
+        for (&stream, held) in &run.suspects_held {
+            for &(at, clock) in held {
+                let Some(&resumed) = resumes.get(&(stream, at)) else {
+                    continue; // a censored tail: nothing resumes it
+                };
+                assert!(
+                    clock < resumed,
+                    "stream {stream}: the Suspect at {at:?} was held at {clock:?}, \
+                     after the stream resumed at {resumed:?}"
+                );
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, resumes.len(), "every resumed silence was held");
+        assert!(checked > 1_000, "only {checked} silences");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Wheel-vs-heap differential property test.
 //
 // `ProcessSet` (dense slots + hierarchical timing wheel) and
