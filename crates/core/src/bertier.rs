@@ -107,18 +107,14 @@ impl FailureDetector for BertierFd {
             self.smoothed_error += self.params.gamma * error;
             self.variability += self.params.gamma * (error.abs() - self.variability);
         }
-        self.estimator.observe(seq, arrival);
-        let ea_next = self
-            .estimator
-            .expected_next_arrival()
-            .expect("estimator has at least one sample");
+        let ea_next = self.estimator.observe_and_project(seq, arrival);
         self.predicted_arrival = Some(ea_next);
         // Eq. 6 (margin floored at zero: a negative timeout would mean
         // suspecting before the expected arrival, which the algorithm
         // never intends).
         let margin = Span::from_secs_f64(self.current_margin_secs());
         let d = Decision {
-            trust_until: ea_next + margin,
+            trust_until: ea_next.saturating_add(margin),
         };
         self.state.decision = Some(d);
         Some(d)

@@ -62,13 +62,9 @@ impl FailureDetector for ChenFd {
         if !self.state.accept(seq) {
             return None;
         }
-        self.estimator.observe(seq, arrival);
-        let ea = self
-            .estimator
-            .expected_next_arrival()
-            .expect("estimator has at least one sample");
+        let ea = self.estimator.observe_and_project(seq, arrival);
         let d = Decision {
-            trust_until: ea + self.safety_margin,
+            trust_until: ea.saturating_add(self.safety_margin),
         };
         self.state.decision = Some(d);
         Some(d)

@@ -16,7 +16,14 @@
 //! [`ChenEstimator`] maintains this in O(1) per heartbeat with a
 //! [`SumWindow`] over the normalized offsets — the window *size* is the
 //! whole subject of the paper's Figure 4/5 sweep, and running two of
-//! these with different sizes side by side is exactly the 2W-FD.
+//! these with different sizes side by side is exactly the 2W-FD. The
+//! window keeps each offset in four bytes while it can, and its sum and
+//! mean are exact either way.
+//!
+//! The arithmetic is total: an offset beyond `i64` (a `seq` near 2^64,
+//! hostile or corrupt) is clamped, `l + 1` is taken in `f64`, and a
+//! projection past `u64::MAX` saturates there. For every `seq < 2^53`
+//! with an in-range offset the results are those of the plain formula.
 
 use crate::window::SumWindow;
 use twofd_sim::time::{Nanos, Span};
@@ -48,35 +55,54 @@ impl ChenEstimator {
     /// Samples may be offered in any order; each contributes its
     /// normalized offset to the window. `last_seq` tracks the maximum.
     pub fn observe(&mut self, seq: u64, arrival: Nanos) {
+        self.record(seq, arrival);
+    }
+
+    /// [`observe`](Self::observe), then returns the expected arrival of
+    /// heartbeat `l + 1`, which exists once a sample does.
+    #[inline]
+    pub(crate) fn observe_and_project(&mut self, seq: u64, arrival: Nanos) -> Nanos {
+        let l = self.record(seq, arrival);
+        // The window holds at least the sample just pushed.
+        let mean_offset = self.offsets.sum() as f64 / self.offsets.len() as f64;
+        self.project(mean_offset, l as f64 + 1.0)
+    }
+
+    /// Pushes the sample's normalized offset and returns the new `l`.
+    #[inline]
+    fn record(&mut self, seq: u64, arrival: Nanos) -> u64 {
         // Normalized offset: arrival − Δi·seq. With u64 nanos this is
         // delay-sized and non-negative for honest traces, but clock skew
-        // could make it negative — use i64 arithmetic (i128 to avoid
-        // intermediate overflow, then narrow).
-        let offset = arrival.0 as i128 - self.interval.0 as i128 * seq as i128;
-        debug_assert!(
-            offset >= i64::MIN as i128 && offset <= i64::MAX as i128,
-            "normalized offset out of range"
-        );
-        self.offsets.push(offset as i64);
-        self.last_seq = Some(self.last_seq.map_or(seq, |l| l.max(seq)));
+        // could make it negative, and a huge `seq` (a hostile or corrupt
+        // heartbeat) could take it past i64. Compute in i128 and clamp.
+        let offset = i128::from(arrival.0) - i128::from(self.interval.0) * i128::from(seq);
+        self.offsets
+            .push(offset.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64);
+        let l = self.last_seq.map_or(seq, |l| l.max(seq));
+        self.last_seq = Some(l);
+        l
     }
 
     /// Expected arrival time of heartbeat `l + 1` (Eq. 2), or `None`
     /// before the first sample.
     pub fn expected_next_arrival(&self) -> Option<Nanos> {
         let l = self.last_seq?;
-        let mean_offset = self.offsets.mean()?;
-        let ea = mean_offset + (l + 1) as f64 * self.interval.0 as f64;
-        // A wildly skewed clock could push the projection negative;
-        // clamp to the epoch.
-        Some(Nanos(ea.max(0.0).round() as u64))
+        Some(self.project(self.offsets.mean()?, l as f64 + 1.0))
     }
 
     /// Expected arrival of an arbitrary future sequence number.
     pub fn expected_arrival_of(&self, seq: u64) -> Option<Nanos> {
-        let mean_offset = self.offsets.mean()?;
-        let ea = mean_offset + seq as f64 * self.interval.0 as f64;
-        Some(Nanos(ea.max(0.0).round() as u64))
+        Some(self.project(self.offsets.mean()?, seq as f64))
+    }
+
+    /// `mean_offset + seq·Δi` as an instant. `seq` is an `f64` so that
+    /// `l + 1` cannot overflow at `l = u64::MAX`; it is exact below 2^53.
+    #[inline]
+    fn project(&self, mean_offset: f64, seq: f64) -> Nanos {
+        let ea = mean_offset + seq * self.interval.0 as f64;
+        // A wildly skewed clock could push the projection negative;
+        // clamp to the epoch. A projection past u64::MAX saturates.
+        Nanos(ea.max(0.0).round() as u64)
     }
 
     /// Largest sequence number observed.

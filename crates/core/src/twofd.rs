@@ -122,6 +122,8 @@ impl FailureDetector for MultiWindowFd {
             .iter()
             .map(|e| e.window().to_string())
             .collect();
+        // hotpath:allow(alloc) — a label for reports and logs, built on
+        // request; no heartbeat reaches it.
         if sizes.len() == 2 {
             format!("2w-fd({})", sizes.join(","))
         } else {
@@ -135,14 +137,10 @@ impl FailureDetector for MultiWindowFd {
         }
         let mut max_ea = Nanos::ZERO;
         for est in self.estimators.as_mut_slice() {
-            est.observe(seq, arrival);
-            let ea = est
-                .expected_next_arrival()
-                .expect("estimator has at least one sample");
-            max_ea = max_ea.max(ea);
+            max_ea = max_ea.max(est.observe_and_project(seq, arrival));
         }
         let d = Decision {
-            trust_until: max_ea + self.safety_margin,
+            trust_until: max_ea.saturating_add(self.safety_margin),
         };
         self.state.decision = Some(d);
         Some(d)
@@ -293,6 +291,24 @@ mod tests {
         fd.on_heartbeat(5, arrival(5, 10)).unwrap();
         assert!(fd.on_heartbeat(3, arrival(5, 11)).is_none());
         assert_eq!(fd.last_seq(), Some(5));
+    }
+
+    /// Seq 1, then an absurd seq: the freshness point saturates at the
+    /// far future. It used to panic in debug builds and, in release,
+    /// wrap to 20 ms for a beat that arrived at 210 ms.
+    #[test]
+    fn huge_sequence_numbers_never_panic_or_wrap() {
+        for huge in [1u64 << 40, 1 << 63, u64::MAX] {
+            let mut fd = TwoWindowFd::paper_default(DI, DTO);
+            fd.on_heartbeat(1, arrival(1, 10)).unwrap();
+            let d = fd.on_heartbeat(huge, arrival(2, 10)).unwrap();
+            assert_eq!(d.trust_until, Nanos(u64::MAX), "seq {huge}");
+            assert!(fd.on_heartbeat(2, arrival(3, 10)).is_none());
+            let mut chen = ChenFd::new(1000, DI, Span(u64::MAX));
+            chen.on_heartbeat(1, arrival(1, 10)).unwrap();
+            let d = chen.on_heartbeat(huge, arrival(2, 10)).unwrap();
+            assert_eq!(d.trust_until, Nanos(u64::MAX));
+        }
     }
 
     #[test]

@@ -8,21 +8,24 @@
 //!   lets the incremental aggregates below stay O(1) per heartbeat.
 //! * [`SumWindow`] — a ring of `i64` values with a running `i128` sum:
 //!   the O(1) building block of Chen's expected-arrival average (Eq. 2).
+//!   It stores each value as an exact `i32` offset from a per-window
+//!   base, so the 2W-FD's `n2 = 1000` window is a 4 000-byte buffer, half
+//!   of an `i64` ring; a window whose values span more than 2^32 ns
+//!   (≈ 4.3 s) widens to `i64` storage once.
 //! * [`MomentsWindow`] — a ring of `f64` values with running first and
 //!   second moments: the φ/ED detectors' inter-arrival mean/variance.
 //!
-//! All three are deliberately allocation-free after construction; a 2W-FD
-//! instance processes millions of heartbeats per replay and the
-//! per-heartbeat cost is what the micro-benchmarks in `twofd-bench`
-//! measure. A capacity-1 window allocates nothing at all: its sample
-//! lives in the window.
+//! All three are allocation-free after construction, but for the one
+//! widening of a [`SumWindow`]; a 2W-FD instance processes millions of
+//! heartbeats per replay and the per-heartbeat cost is what the
+//! micro-benchmarks in `twofd-bench` measure. A capacity-1 window
+//! allocates nothing at all: its sample lives in the window.
 
 use std::collections::VecDeque;
 
-/// Where a window keeps its samples. A capacity-1 window (the 2W-FD's
-/// short window at the paper's `n1 = 1`) holds its one sample in the
-/// window itself, so pushing into it touches no heap line; larger
-/// windows own a ring buffer.
+/// Where a [`RingWindow`] keeps its samples. A capacity-1 window holds
+/// its one sample in the window itself, so pushing into it touches no
+/// heap line; larger windows own a ring buffer.
 #[derive(Debug, Clone)]
 enum Samples<T> {
     One(Option<T>),
@@ -128,28 +131,142 @@ impl<T> RingWindow<T> {
     }
 }
 
+/// Where a [`SumWindow`] keeps its samples.
+#[derive(Debug, Clone)]
+enum Store {
+    /// Capacity 1 (the 2W-FD's short window at the paper's `n1 = 1`):
+    /// the sample itself, no heap.
+    One(Option<i64>),
+    /// Every sample as `base + offset`, four bytes each.
+    Narrow { base: i64, offsets: VecDeque<i32> },
+    /// Every sample at full width, once no `i32` offset could hold them
+    /// all. A window never narrows again.
+    Wide(VecDeque<i64>),
+}
+
+impl Store {
+    #[inline]
+    fn len(&self) -> usize {
+        match self {
+            Store::One(slot) => usize::from(slot.is_some()),
+            Store::Narrow { offsets, .. } => offsets.len(),
+            Store::Wide(ring) => ring.len(),
+        }
+    }
+}
+
+/// Appends a `value` that no `i32` offset from `base` holds. Re-bases
+/// the window in place when the retained samples and `value` all fit an
+/// `i32` around the midpoint of their range; otherwise returns them, and
+/// `value`, at full width.
+#[cold]
+fn push_far(
+    base: &mut i64,
+    offsets: &mut VecDeque<i32>,
+    value: i64,
+    capacity: usize,
+) -> Option<VecDeque<i64>> {
+    let (lo, hi) = offsets.iter().fold((value, value), |(lo, hi), &o| {
+        let x = *base + i64::from(o);
+        (lo.min(x), hi.max(x))
+    });
+    let span = i128::from(hi) - i128::from(lo);
+    if span <= i128::from(u32::MAX) {
+        // Offsets from lo + ⌈span/2⌉ run from −⌈span/2⌉ to ⌊span/2⌋.
+        let new_base = lo + ((span + 1) / 2) as i64;
+        let shift = i128::from(*base) - i128::from(new_base);
+        for o in offsets.iter_mut() {
+            *o = (i128::from(*o) + shift) as i32;
+        }
+        *base = new_base;
+        offsets.push_back((i128::from(value) - i128::from(new_base)) as i32);
+        return None;
+    }
+    // hotpath:allow(alloc) — at most once per window, when its values
+    // come to span more than 2^32 ns.
+    let mut wide = VecDeque::with_capacity(capacity);
+    wide.extend(offsets.iter().map(|&o| *base + i64::from(o)));
+    wide.push_back(value);
+    Some(wide)
+}
+
 /// Ring of `i64` samples with an O(1) running sum.
+///
+/// The samples are stored as `i32` offsets from a per-window base, half
+/// the bytes of an `i64` ring: a 2W-FD's `n2 = 1000` window owns a
+/// 4 000-byte buffer. The base starts at zero. A sample too far from it
+/// re-bases the window in place — one pass, when every retained sample
+/// and the new one fit an `i32` around the midpoint of their range (for
+/// the first sample, around itself) — or else widens the window to `i64`
+/// storage for good. The sum is the exact `i128` over the true values and
+/// an evicted sample is rebuilt exactly, so the storage never shows in
+/// [`sum`](Self::sum) or [`mean`](Self::mean).
 #[derive(Debug, Clone)]
 pub struct SumWindow {
-    ring: RingWindow<i64>,
+    store: Store,
+    capacity: usize,
     sum: i128,
 }
 
 impl SumWindow {
-    /// Creates a sum window of the given capacity (must be positive).
+    /// Creates a sum window of the given capacity.
+    ///
+    /// # Panics
+    /// If `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "window capacity must be positive");
         SumWindow {
-            ring: RingWindow::new(capacity),
+            store: if capacity == 1 {
+                Store::One(None)
+            } else {
+                Store::Narrow {
+                    base: 0,
+                    offsets: VecDeque::with_capacity(capacity),
+                }
+            },
+            capacity,
             sum: 0,
         }
     }
 
-    /// Pushes a sample, maintaining the running sum.
+    /// Pushes a sample, evicting the oldest one if full and maintaining
+    /// the running sum.
+    #[inline]
     pub fn push(&mut self, value: i64) {
-        if let Some(evicted) = self.ring.push(value) {
-            self.sum -= evicted as i128;
+        let capacity = self.capacity;
+        let evicted = match &mut self.store {
+            Store::One(slot) => slot.replace(value),
+            Store::Narrow { base, offsets } => {
+                // base + offset rebuilds a value that was pushed as an i64.
+                let evicted = if offsets.len() == capacity {
+                    offsets.pop_front().map(|o| *base + i64::from(o))
+                } else {
+                    None
+                };
+                match value.checked_sub(*base).map(i32::try_from) {
+                    Some(Ok(o)) => offsets.push_back(o),
+                    _ => {
+                        if let Some(wide) = push_far(base, offsets, value, capacity) {
+                            self.store = Store::Wide(wide);
+                        }
+                    }
+                }
+                evicted
+            }
+            Store::Wide(ring) => {
+                let evicted = if ring.len() == capacity {
+                    ring.pop_front()
+                } else {
+                    None
+                };
+                ring.push_back(value);
+                evicted
+            }
+        };
+        if let Some(evicted) = evicted {
+            self.sum -= i128::from(evicted);
         }
-        self.sum += value as i128;
+        self.sum += i128::from(value);
     }
 
     /// Sum of the retained samples.
@@ -159,26 +276,26 @@ impl SumWindow {
 
     /// Mean of the retained samples (`None` when empty).
     pub fn mean(&self) -> Option<f64> {
-        if self.ring.is_empty() {
-            None
-        } else {
-            Some(self.sum as f64 / self.ring.len() as f64)
+        match self.len() {
+            0 => None,
+            n => Some(self.sum as f64 / n as f64),
         }
     }
 
     /// Number of retained samples.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.ring.len()
+        self.store.len()
     }
 
     /// True when no samples are held.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.len() == 0
     }
 
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
-        self.ring.capacity()
+        self.capacity
     }
 }
 
@@ -343,6 +460,62 @@ mod tests {
         assert_eq!(w.sum(), 2);
     }
 
+    /// The base of a narrow window, `None` once it has widened.
+    fn narrow_base(w: &SumWindow) -> Option<i64> {
+        match w.store {
+            Store::Narrow { base, .. } => Some(base),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn drifting_samples_rebase_in_place_and_stay_narrow() {
+        // A sender whose offset drifts 1 ms per beat leaves i32 range
+        // around its first sample after ≈ 2 150 beats.
+        let mut w = SumWindow::new(1000);
+        let mut reference = VecDeque::new();
+        let mut rebased = false;
+        for i in 0..10_000i64 {
+            let v = 5_000_000_000 + i * 1_000_000;
+            let before = narrow_base(&w);
+            w.push(v);
+            reference.push_back(v);
+            if reference.len() > 1000 {
+                reference.pop_front();
+            }
+            let after = narrow_base(&w);
+            assert!(after.is_some(), "widened at beat {i}");
+            // The first push re-bases from 0 to its own value.
+            rebased |= i > 0 && after != before;
+        }
+        assert!(rebased, "the drift never left i32 range");
+        assert_eq!(w.sum(), reference.iter().map(|&x| i128::from(x)).sum());
+    }
+
+    #[test]
+    fn a_step_wider_than_u32_widens_once_and_stays_exact() {
+        let mut w = SumWindow::new(4);
+        w.push(1_000);
+        w.push(1_000 + 5_000_000_000); // a 5 s clock step
+        assert!(matches!(w.store, Store::Wide(_)));
+        w.push(7);
+        w.push(-9);
+        w.push(11); // evicts 1 000
+        assert_eq!(w.sum(), 5_000_001_000 + 7 - 9 + 11);
+        assert!(matches!(w.store, Store::Wide(_)));
+    }
+
+    #[test]
+    fn i64_extremes_are_held_exactly() {
+        let mut w = SumWindow::new(2);
+        w.push(i64::MIN);
+        w.push(i64::MAX);
+        assert_eq!(w.sum(), -1);
+        w.push(i64::MAX); // evicts MIN
+        assert_eq!(w.sum(), 2 * i128::from(i64::MAX));
+        assert_eq!(w.mean(), Some(i64::MAX as f64));
+    }
+
     #[test]
     fn moments_window_basic() {
         let mut w = MomentsWindow::new(4);
@@ -369,18 +542,39 @@ mod tests {
     }
 
     proptest! {
+        /// Whatever the storage — inline, narrow, re-based or widened —
+        /// the window is a plain `VecDeque<i64>` to every reader, to the
+        /// bit. Moves mix jitter, one-way drift (re-bases), steps past
+        /// 2^31 ns (a re-base or a widen) and the i64 extremes.
         #[test]
-        fn sum_window_matches_naive(values in prop::collection::vec(-1_000_000i64..1_000_000, 1..200), cap in 1usize..50) {
+        fn sum_window_matches_naive(
+            start in any::<i64>(),
+            moves in prop::collection::vec((0u8..8, any::<i64>()), 1..300),
+            cap in 1usize..50,
+        ) {
             let mut w = SumWindow::new(cap);
-            let mut naive: Vec<i64> = Vec::new();
-            for &v in &values {
+            let mut reference: VecDeque<i64> = VecDeque::new();
+            let mut v = start;
+            for (kind, r) in moves {
+                v = match kind {
+                    0..=3 => v.saturating_add(r % 20_000_000),
+                    4 | 5 => v.saturating_add(r.rem_euclid(1 << 28)),
+                    6 => {
+                        let step = (1 << 31) + r.rem_euclid(1 << 40);
+                        v.saturating_add(if r < 0 { -step } else { step })
+                    }
+                    _ => [i64::MIN, i64::MAX, r][r.rem_euclid(3) as usize],
+                };
                 w.push(v);
-                naive.push(v);
-                if naive.len() > cap {
-                    naive.remove(0);
+                reference.push_back(v);
+                if reference.len() > cap {
+                    reference.pop_front();
                 }
-                prop_assert_eq!(w.sum(), naive.iter().map(|&x| x as i128).sum::<i128>());
-                prop_assert_eq!(w.len(), naive.len());
+                let sum: i128 = reference.iter().map(|&x| i128::from(x)).sum();
+                let mean = sum as f64 / reference.len() as f64;
+                prop_assert_eq!(w.sum(), sum);
+                prop_assert_eq!(w.len(), reference.len());
+                prop_assert_eq!(w.mean().map(f64::to_bits), Some(mean.to_bits()));
             }
         }
 

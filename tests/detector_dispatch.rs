@@ -9,6 +9,7 @@
 //! replay observable match exactly, for every algorithm in the suite.
 
 use proptest::prelude::*;
+use std::collections::VecDeque;
 use twofd::core::ReplayResult;
 use twofd::prelude::*;
 use twofd::sim::{DelaySpec, DistSpec, LossSpec, NetworkScenario};
@@ -51,6 +52,48 @@ fn replay_inline(spec: &DetectorSpec, trace: &Trace, tuning: f64) -> ReplayResul
 fn replay_boxed(spec: &DetectorSpec, trace: &Trace, tuning: f64) -> ReplayResult {
     let mut fd = spec.build(trace.interval, tuning);
     replay(fd.as_mut(), trace)
+}
+
+/// Eq. 12 the slow way: each window a plain `VecDeque<i64>` of
+/// normalized offsets `A − Δi·s`, summed afresh on every heartbeat.
+struct I64Rings {
+    windows: [(usize, VecDeque<i64>); 2],
+    interval: Span,
+    margin: Span,
+    last_seq: Option<u64>,
+}
+
+impl I64Rings {
+    fn new(sizes: [usize; 2], interval: Span, margin: Span) -> Self {
+        I64Rings {
+            windows: sizes.map(|n| (n, VecDeque::new())),
+            interval,
+            margin,
+            last_seq: None,
+        }
+    }
+
+    /// The freshness point after a fresh heartbeat, `None` for a stale one.
+    fn on_heartbeat(&mut self, seq: u64, at: Nanos) -> Option<Nanos> {
+        if self.last_seq.is_some_and(|l| seq <= l) {
+            return None;
+        }
+        self.last_seq = Some(seq);
+        let offset = i64::try_from(at.0 as i128 - self.interval.0 as i128 * seq as i128)
+            .expect("offsets of generated traces fit i64");
+        let mut max_ea = Nanos::ZERO;
+        for (n, ring) in &mut self.windows {
+            if ring.len() == *n {
+                ring.pop_front();
+            }
+            ring.push_back(offset);
+            let sum: i128 = ring.iter().map(|&x| i128::from(x)).sum();
+            let mean = sum as f64 / ring.len() as f64;
+            let ea = mean + (seq as f64 + 1.0) * self.interval.0 as f64;
+            max_ea = max_ea.max(Nanos(ea.max(0.0).round() as u64));
+        }
+        Some(max_ea.saturating_add(self.margin))
+    }
 }
 
 proptest! {
@@ -126,12 +169,21 @@ proptest! {
     /// `max` (Eq. 12) return the same freshness point, bit for bit, for
     /// every heartbeat — including `n1 = 1` (sample held in the window
     /// itself), equal sizes, and long windows the trace never fills.
+    ///
+    /// The schedule may also carry a forward 5 s clock step (a long
+    /// window spanning it widens to `i64` storage) and a sender drifting
+    /// up to 50 ms per beat (its windows re-base, or widen once they
+    /// span 2^32 ns). All three are also checked against Eq. 12 computed
+    /// over plain `i64` rings.
     #[test]
     fn two_window_storages_agree_bit_for_bit(
         trace in arb_trace(),
         tuning in 0.0f64..2.0,
         n1 in 1usize..4,
         n2 in 1usize..2000,
+        schedule in 0u8..4,
+        step_at in 0usize..400,
+        drift_per_beat in 0u64..50_000_000,
     ) {
         let interval = trace.interval;
         let margin = Span::from_secs_f64(tuning);
@@ -140,19 +192,29 @@ proptest! {
             .build_any(interval, tuning);
         let mut short = ChenFd::new(n1, interval, margin);
         let mut long = ChenFd::new(n2, interval, margin);
-        for a in trace.arrivals() {
+        let mut rings = I64Rings::new([n1, n2], interval, margin);
+        for (i, a) in trace.arrivals().into_iter().enumerate() {
+            let mut at = a.at;
+            if schedule & 1 == 1 && i >= step_at {
+                at += Span::from_secs(5);
+            }
+            if schedule & 2 == 2 {
+                at += Span(drift_per_beat * i as u64);
+            }
             let by_max = match (
-                short.on_heartbeat(a.seq, a.at),
-                long.on_heartbeat(a.seq, a.at),
+                short.on_heartbeat(a.seq, at),
+                long.on_heartbeat(a.seq, at),
             ) {
                 (Some(s), Some(l)) => Some(s.trust_until.max(l.trust_until)),
                 (None, None) => None,
                 mixed => panic!("Chen detectors disagree on freshness: {mixed:?}"),
             };
-            let t = two.on_heartbeat(a.seq, a.at).map(|d| d.trust_until);
-            let m = multi.on_heartbeat(a.seq, a.at).map(|d| d.trust_until);
+            let t = two.on_heartbeat(a.seq, at).map(|d| d.trust_until);
+            let m = multi.on_heartbeat(a.seq, at).map(|d| d.trust_until);
             prop_assert_eq!(t, by_max, "2w-fd({},{}) vs max of Chen at seq {}", n1, n2, a.seq);
             prop_assert_eq!(m, by_max, "mw-fd({},{}) vs max of Chen at seq {}", n1, n2, a.seq);
+            let r = rings.on_heartbeat(a.seq, at);
+            prop_assert_eq!(t, r, "2w-fd({},{}) vs i64 rings at seq {}", n1, n2, a.seq);
         }
     }
 

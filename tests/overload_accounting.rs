@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use twofd::core::{DetectorConfig, DetectorSpec};
+use twofd::core::{DetectorConfig, DetectorSpec, FdOutput};
 use twofd::net::{Job, ManualClock, ShardConfig, ShardRuntime, TimeSource};
 use twofd::sim::{Nanos, Span};
 
@@ -200,4 +200,58 @@ fn overflowed_event_channel_counts_its_losses() {
         .expect("events_dropped series rendered");
     let rendered: f64 = line.rsplit(' ').next().unwrap().parse().unwrap();
     assert_eq!(rendered as u64, stats.events_dropped);
+}
+
+/// A heartbeat with an absurd sequence number — 2^40, 2^63, `u64::MAX` —
+/// is one more applied heartbeat. The 2W-FD's arithmetic is total: the
+/// worker neither panics (debug) nor wraps the freshness point into the
+/// past (release), and `received == applied + dropped` still balances.
+/// The honest beat that follows is stale, as it is for any larger `seq`.
+#[test]
+fn huge_sequence_numbers_are_applied_and_counted() {
+    let clock = Arc::new(ManualClock::new());
+    let rt = ShardRuntime::new(
+        ShardConfig {
+            detector: DetectorConfig::new(
+                DetectorSpec::TwoWindow { n1: 1, n2: 1000 },
+                INTERVAL,
+                0.04,
+            )
+            .into(),
+            n_shards: 2,
+            ..ShardConfig::default()
+        },
+        clock.clone() as Arc<dyn TimeSource>,
+    );
+    let huge = [1u64 << 40, 1 << 63, u64::MAX];
+    let mut jobs: Vec<Job> = Vec::new();
+    for (stream, &seq) in (0u64..).zip(&huge) {
+        jobs.push((stream, 1, Nanos(INTERVAL.0 + 1_000_000), 0));
+        jobs.push((stream, seq, Nanos(2 * INTERVAL.0 + 1_000_000), 0));
+        jobs.push((stream, 2, Nanos(3 * INTERVAL.0), 0));
+    }
+    clock.advance_to(Nanos(3 * INTERVAL.0));
+    rt.ingest_batch(&jobs);
+
+    // Not `flush`: a worker that died on the beat would never catch up.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let s = rt.stats();
+        if s.applied() + s.dropped() == s.received() {
+            break;
+        }
+        assert!(Instant::now() < deadline, "a worker stopped: {s:?}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stats = rt.stats();
+    assert_eq!(stats.received(), 9);
+    assert_eq!(stats.received(), stats.applied() + stats.dropped());
+    for shard in &stats.shards {
+        assert_eq!(shard.received, shard.applied + shard.dropped, "{shard:?}");
+    }
+    for stream in 0..3 {
+        // The projection saturates at the far future instead of
+        // wrapping to a freshness point before the beat's own arrival.
+        assert_eq!(rt.output(stream), Some(FdOutput::Trust), "stream {stream}");
+    }
 }

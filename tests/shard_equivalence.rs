@@ -67,85 +67,108 @@ fn sharded_runtime_matches_sequential_replay_event_for_event() {
         let traces: BTreeMap<u64, Trace> = (0..n_streams)
             .map(|s| (s, WanTraceConfig::small(300, seed * 100 + s).generate()))
             .collect();
-        let interval = traces[&0].interval;
+        assert_runtime_matches_oracle(&traces, &format!("seed {seed}"));
+    }
+}
 
-        // Merge every stream's deliveries into one global arrival order.
-        let mut schedule: Vec<(Nanos, u64, u64)> = traces
-            .iter()
-            .flat_map(|(&stream, trace)| {
-                trace
-                    .arrivals()
-                    .into_iter()
-                    .map(move |a| (a.at, stream, a.seq))
-            })
-            .collect();
-        schedule.sort_unstable();
-        let global_horizon = traces.values().map(Trace::end_time).max().unwrap();
+/// A stream whose arrivals step 5 s forward mid-run: every window that
+/// spans the step holds values more than 2^32 ns apart, so both of its
+/// windows widen to `i64` storage while the worker applies it. Its
+/// timeline, and its neighbours', still equal the replay oracle's.
+#[test]
+fn a_stream_whose_windows_widen_mid_run_matches_the_replay_oracle() {
+    let mut traces: BTreeMap<u64, Trace> = (0..4u64)
+        .map(|s| (s, WanTraceConfig::small(300, 2_900 + s).generate()))
+        .collect();
+    let stepped = traces.get_mut(&2).unwrap();
+    for record in &mut stepped.records[150..] {
+        record.arrival = record.arrival.map(|at| at + Span::from_secs(5));
+    }
+    assert_runtime_matches_oracle(&traces, "5 s step on stream 2");
+}
 
-        let clock = Arc::new(ManualClock::new());
-        let rt = ShardRuntime::new(
-            ShardConfig {
-                detector: detector_config(interval).into(),
-                n_shards: 3,
-                queue_capacity: 4096,
-                sweep_interval: Duration::from_millis(1),
-                event_capacity: 1 << 16,
-                ..ShardConfig::default()
-            },
-            clock.clone() as Arc<dyn TimeSource>,
-        );
+/// Feeds every stream's arrivals to a three-shard runtime in one global
+/// arrival order, one job per call, and demands each stream's published
+/// timeline equal its replay oracle's up to the stream's own horizon.
+fn assert_runtime_matches_oracle(traces: &BTreeMap<u64, Trace>, what: &str) {
+    let interval = traces[&0].interval;
 
-        // The determinism protocol: the clock reaches an arrival instant
-        // only after every earlier heartbeat is already enqueued, so no
-        // sweep can expire a horizon a pending heartbeat extends.
-        for &(at, stream, seq) in &schedule {
-            clock.advance_to(at);
-            rt.ingest_batch(&[(stream, seq, at, 0)]);
-        }
-        rt.flush();
-        clock.advance_to(global_horizon);
+    // Merge every stream's deliveries into one global arrival order.
+    let mut schedule: Vec<(Nanos, u64, u64)> = traces
+        .iter()
+        .flat_map(|(&stream, trace)| {
+            trace
+                .arrivals()
+                .into_iter()
+                .map(move |a| (a.at, stream, a.seq))
+        })
+        .collect();
+    schedule.sort_unstable();
+    let global_horizon = traces.values().map(Trace::end_time).max().unwrap();
 
-        let expected: BTreeMap<u64, Vec<(FdOutput, Nanos)>> = traces
-            .iter()
-            .map(|(&s, t)| (s, expected_events(t)))
-            .collect();
-        // Replay only observes a stream up to its own trace horizon; the
-        // runtime keeps sweeping until the latest one. Events stamped at
-        // or past a stream's horizon are outside the oracle's window.
-        let expected_total: usize = expected.values().map(Vec::len).sum();
+    let clock = Arc::new(ManualClock::new());
+    let rt = ShardRuntime::new(
+        ShardConfig {
+            detector: detector_config(interval).into(),
+            n_shards: 3,
+            queue_capacity: 4096,
+            sweep_interval: Duration::from_millis(1),
+            event_capacity: 1 << 16,
+            ..ShardConfig::default()
+        },
+        clock.clone() as Arc<dyn TimeSource>,
+    );
 
-        let mut actual: BTreeMap<u64, Vec<(FdOutput, Nanos)>> = BTreeMap::new();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let mut seen = 0usize;
-        while seen < expected_total && Instant::now() < deadline {
-            for ev in rt.events().try_iter() {
-                if ev.at < traces[&ev.key].end_time() {
-                    seen += 1;
-                }
-                actual.entry(ev.key).or_default().push((ev.output, ev.at));
-            }
-            sleep(Duration::from_millis(1));
-        }
-        // Grace pass: catch any extra events the runtime wrongly emits.
-        sleep(Duration::from_millis(20));
+    // The determinism protocol: the clock reaches an arrival instant
+    // only after every earlier heartbeat is already enqueued, so no
+    // sweep can expire a horizon a pending heartbeat extends.
+    for &(at, stream, seq) in &schedule {
+        clock.advance_to(at);
+        rt.ingest_batch(&[(stream, seq, at, 0)]);
+    }
+    rt.flush();
+    clock.advance_to(global_horizon);
+
+    let expected: BTreeMap<u64, Vec<(FdOutput, Nanos)>> = traces
+        .iter()
+        .map(|(&s, t)| (s, expected_events(t)))
+        .collect();
+    // Replay only observes a stream up to its own trace horizon; the
+    // runtime keeps sweeping until the latest one. Events stamped at
+    // or past a stream's horizon are outside the oracle's window.
+    let expected_total: usize = expected.values().map(Vec::len).sum();
+
+    let mut actual: BTreeMap<u64, Vec<(FdOutput, Nanos)>> = BTreeMap::new();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut seen = 0usize;
+    while seen < expected_total && Instant::now() < deadline {
         for ev in rt.events().try_iter() {
+            if ev.at < traces[&ev.key].end_time() {
+                seen += 1;
+            }
             actual.entry(ev.key).or_default().push((ev.output, ev.at));
         }
-        assert_eq!(rt.events_dropped(), 0);
+        sleep(Duration::from_millis(1));
+    }
+    // Grace pass: catch any extra events the runtime wrongly emits.
+    sleep(Duration::from_millis(20));
+    for ev in rt.events().try_iter() {
+        actual.entry(ev.key).or_default().push((ev.output, ev.at));
+    }
+    assert_eq!(rt.events_dropped(), 0);
 
-        for (stream, trace) in &traces {
-            let horizon = trace.end_time();
-            let got: Vec<_> = actual
-                .remove(stream)
-                .unwrap_or_default()
-                .into_iter()
-                .filter(|&(_, at)| at < horizon)
-                .collect();
-            assert_eq!(
-                got, expected[stream],
-                "seed {seed} stream {stream} diverged from the replay oracle"
-            );
-        }
+    for (stream, trace) in traces {
+        let horizon = trace.end_time();
+        let got: Vec<_> = actual
+            .remove(stream)
+            .unwrap_or_default()
+            .into_iter()
+            .filter(|&(_, at)| at < horizon)
+            .collect();
+        assert_eq!(
+            got, expected[stream],
+            "{what}: stream {stream} diverged from the replay oracle"
+        );
     }
 }
 
