@@ -1,12 +1,13 @@
 //! # twofd-cluster — deterministic virtual-time cluster simulation
 //!
-//! Runs the **real** fleet runtime — [`twofd_net::ShardRuntime`], the
-//! same sharded monitor that serves live UDP traffic — inside a
-//! discrete-event cluster simulator. A single global event loop owns a
-//! [`twofd_net::ManualClock`] per monitor node and drives thousands of
-//! simulated heartbeat senders through scripted links
-//! ([`twofd_sim::link`]), delivering arrivals via `ingest_batch` and
-//! expiries via caller-driven sweeps, all in virtual time.
+//! Runs the **real** shard code — [`twofd_net::ShardCore`], the state
+//! and pass body behind every shard of the sharded monitor that serves
+//! live UDP traffic — inside a discrete-event cluster simulator. One
+//! global event loop drives thousands of simulated heartbeat senders
+//! through scripted links ([`twofd_sim::link`]) and calls each
+//! monitor's shard cores directly: a pass per delivery batch, a sweep
+//! at digest ticks and at the end, all in virtual time. There are no
+//! workers, queues or clocks to coordinate.
 //!
 //! The pieces:
 //!

@@ -2,75 +2,49 @@
 //!
 //! [`run`] executes a [`ClusterConfig`] — N simulated senders beaming
 //! heartbeats over scripted [`LinkSpec`] links at M monitor nodes — in
-//! **virtual time**, against the *real* production runtime: each
-//! monitor is a live [`ShardRuntime`] with its worker threads, queues,
-//! timing wheels and QoS trackers, driven through a
-//! [`twofd_net::clock::ManualClock`] instead of the OS clock.
+//! **virtual time**, against the production shard code: each monitor
+//! owns `n_shards` [`ShardCore`]s (streams routed `stream % n_shards`,
+//! as the live runtime routes them), with their timing wheels and QoS
+//! trackers, and calls them from the scheduler's own loop. There are no
+//! workers, queues or clocks to coordinate: the instant each call works
+//! at is an argument.
 //!
 //! ## The determinism protocol
 //!
-//! The scheduler owns one global [`EventQueue`]; beats and deliveries
-//! pop in timestamp order (stable on ties). Per monitor, deliveries
-//! accumulate into a batch buffer and flush as:
+//! Apply in arrival order, sweep to the last arrival. The scheduler owns
+//! one global [`EventQueue`]; beats and deliveries pop in timestamp
+//! order (stable on ties). Per monitor, deliveries accumulate into a
+//! batch buffer, and each batch becomes one [`ShardCore::pass`] per core
+//! at the batch's last arrival (in the monitor's local time): the pass
+//! applies its heartbeats in order and sweeps every horizon that
+//! expired before that arrival. Digest ticks and the end of the run
+//! sweep every core to their own instant.
 //!
-//! 1. [`ShardRuntime::ingest_batch`] with every arrival `≤ T`,
-//! 2. *then* `clock.advance_to(T)` (the last arrival's local time).
-//!
-//! Enqueue-before-advance means a worker can never sweep a horizon
-//! that a queued heartbeat extends, so the published transition
-//! timeline is a pure function of the schedule — worker scheduling
-//! jitter cannot change it (`tests/shard_equivalence.rs` pins the same
-//! property for the runtime itself). A [`ShardRuntime::flush`] barrier
-//! every few batches bounds in-flight work below the queue capacity,
-//! keeping the drop-oldest backpressure path — whose victims *would*
-//! be timing-dependent — unreachable.
-//!
-//! At the horizon the scheduler flushes, advances each monitor to its
-//! local end-of-run instant, and calls [`ShardRuntime::sweep_now`] to
-//! retire every pending expiry synchronously. The drained timeline is
-//! then canonicalized by `(at, key)` — a total order, since one stream
-//! cannot transition twice at one instant — so two runs with the same
-//! seed produce byte-identical reports.
+//! Every transition lands in the monitor's timeline as it is produced.
+//! At the horizon the timeline is canonicalized by `(at, key)` — a
+//! total order, since one stream cannot transition twice at one
+//! instant — so two runs with the same seed produce byte-identical
+//! reports.
 
 use crate::node::NodeClock;
-use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 use twofd_core::{DetectorConfig, FdOutput, QosMetrics, TransitionKind};
 use twofd_federation::{Federation, FederationConfig, LivenessDigest};
-use twofd_net::clock::{ManualClock, TimeSource};
-use twofd_net::shard::{FleetEvent, Job, ObsOptions, ShardConfig, ShardRuntime};
+use twofd_net::shard::{FleetEvent, Job, ShardCore};
 use twofd_obs::{QosPlan, QosTrackerConfig, QosVerdict, Registry};
 use twofd_sim::link::LinkSpec;
 use twofd_sim::rng::SimRng;
 use twofd_sim::time::{Nanos, Span};
 use twofd_sim::EventQueue;
 
-/// Deliveries buffered per monitor before a batch flush.
-const FLUSH_BATCH: usize = 256;
+/// Deliveries buffered per monitor before a batch pass.
+const PASS_BATCH: usize = 256;
 
-/// Batch flushes between [`ShardRuntime::flush`] barriers. The barrier
-/// bounds in-flight heartbeats to `BARRIER_EVERY × FLUSH_BATCH`, far
-/// below the per-shard queue capacity, so drop-oldest backpressure —
-/// whose victims depend on worker timing — can never engage.
-const BARRIER_EVERY: usize = 32;
-
-/// Per-shard queue capacity; must exceed `BARRIER_EVERY × FLUSH_BATCH`
-/// (see above) even if every in-flight heartbeat routes to one shard.
-const QUEUE_CAPACITY: usize = 16 * 1024;
-
-/// Transition-event channel capacity per monitor. Drained every flush;
-/// sized so a burst of transitions between drains cannot overflow
-/// (overflow would drop a timing-dependent subset and break replay —
-/// [`MonitorReport::events_dropped`] is asserted zero by envelopes).
-const EVENT_CAPACITY: usize = 64 * 1024;
-
-/// One monitor node: a real [`ShardRuntime`] plus its virtual clock.
+/// One monitor node: its clock, its shard count, and when it dies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MonitorSpec {
     /// The node's local clock (arrivals are stamped in *its* time).
     pub clock: NodeClock,
-    /// Worker shards of this monitor's runtime.
+    /// Shard cores of this monitor (streams routed `stream % n_shards`).
     pub n_shards: usize,
     /// Global instant this *monitor* crashes: it stops ingesting,
     /// digesting and relaying, and its report freezes at the kill
@@ -169,9 +143,6 @@ pub struct MonitorReport {
     /// Streams this monitor adopted from dead peers' relayed digest
     /// views (0 without a federation, or when no peer died).
     pub adopted: u64,
-    /// Transition events lost to channel overflow — nonzero means the
-    /// timeline is untrustworthy, and envelopes assert it zero.
-    pub events_dropped: u64,
 }
 
 /// The full outcome of one simulated run.
@@ -287,63 +258,47 @@ struct SenderState {
 
 /// Live state of one monitor during the run.
 struct MonitorState {
-    rt: ShardRuntime,
-    clock: Arc<ManualClock>,
+    cores: Vec<ShardCore>,
+    /// One pass's heartbeats per core, refilled from `buffer`.
+    inboxes: Vec<Vec<Job>>,
     buffer: Vec<Job>,
     timeline: Vec<FleetEvent>,
     ingested: u64,
     adopted: u64,
-    flushes: usize,
     fed: Option<Federation>,
 }
 
+/// The core a stream is routed to, as the live runtime routes it.
+fn route(stream: u64, n_shards: usize) -> usize {
+    (stream % n_shards as u64) as usize
+}
+
 impl MonitorState {
-    /// The batch flush: ingest everything buffered, then advance the
-    /// virtual clock to the last arrival (enqueue-before-advance), and
-    /// drain whatever transitions the workers have published so far.
-    fn flush_batch(&mut self) {
+    fn core_of(&mut self, stream: u64) -> &mut ShardCore {
+        let i = route(stream, self.cores.len());
+        &mut self.cores[i]
+    }
+
+    /// The batch pass: routes everything buffered to its core, then
+    /// runs one pass per core at the last arrival, so every core is
+    /// swept to it.
+    fn apply_batch(&mut self) {
         let Some(&(_, _, last_arrival, _)) = self.buffer.last() else {
             return;
         };
-        self.rt.ingest_batch(&self.buffer);
         self.ingested += self.buffer.len() as u64;
-        self.buffer.clear();
-        self.clock.advance_to(last_arrival);
-        self.timeline.extend(self.rt.events().try_iter());
-        self.flushes += 1;
-        if self.flushes.is_multiple_of(BARRIER_EVERY) {
-            // Bound in-flight work so the shard queues can never
-            // overflow (drops would be timing-dependent).
-            self.rt.flush();
+        for job in self.buffer.drain(..) {
+            self.inboxes[route(job.0, self.cores.len())].push(job);
+        }
+        for (core, inbox) in self.cores.iter_mut().zip(&mut self.inboxes) {
+            core.pass(last_arrival, false, inbox, &mut self.timeline);
         }
     }
 
-    /// Drains the event channel until every transition the runtime has
-    /// counted as published is collected. Called after the final
-    /// `flush` + `sweep_now`, when the run is quiescent: the loop only
-    /// spins while a worker is mid-publish, which lasts microseconds.
-    fn settle(&mut self) {
-        let mut stable = 0u32;
-        let mut last_published = u64::MAX;
-        loop {
-            self.timeline.extend(self.rt.events().try_iter());
-            let stats = self.rt.stats();
-            let published: u64 = stats
-                .shards
-                .iter()
-                .map(|s| s.to_trust + s.to_suspect + s.to_recovered)
-                .sum();
-            let collected = self.timeline.len() as u64 + stats.events_dropped;
-            if collected == published && published == last_published {
-                stable += 1;
-                if stable >= 3 {
-                    return;
-                }
-            } else {
-                stable = 0;
-            }
-            last_published = published;
-            thread::sleep(Duration::from_millis(1));
+    /// Sweeps every core to `now`.
+    fn sweep(&mut self, now: Nanos) {
+        for core in &mut self.cores {
+            core.sweep(now, &mut self.timeline);
         }
     }
 }
@@ -351,9 +306,9 @@ impl MonitorState {
 /// Runs `config` under `seed`, returning the full deterministic report.
 ///
 /// # Panics
-/// If the config is malformed: no monitors, a zero interval/duration,
-/// a sender whose `links` don't match the monitor count, or duplicate
-/// stream ids.
+/// If the config is malformed: no monitors, a monitor with no shards,
+/// a zero interval/duration, a sender whose `links` don't match the
+/// monitor count, or duplicate stream ids.
 pub fn run(config: &ClusterConfig, seed: u64) -> ScenarioReport {
     assert!(!config.monitors.is_empty(), "need at least one monitor");
     assert!(
@@ -411,27 +366,15 @@ pub fn run(config: &ClusterConfig, seed: u64) -> ScenarioReport {
         .iter()
         .enumerate()
         .map(|(idx, m)| {
-            let clock = Arc::new(ManualClock::new());
-            let rt = ShardRuntime::new(
-                ShardConfig {
-                    detector: config.detector.clone().into(),
-                    n_shards: m.n_shards,
-                    queue_capacity: QUEUE_CAPACITY,
-                    event_capacity: EVENT_CAPACITY,
-                    obs: ObsOptions {
-                        jitter: false,
-                        qos: config.qos.map(QosPlan::Uniform),
-                    },
-                    ..ShardConfig::default()
-                },
-                Arc::clone(&clock) as Arc<dyn TimeSource>,
-            );
-            // Pre-register the whole fleet: every stream has a defined
-            // output (initially Suspect) from the first instant, like a
-            // monitor bootstrapped from a membership list.
-            for s in &config.senders {
-                rt.register(s.stream);
-            }
+            assert!(m.n_shards > 0, "need at least one shard");
+            let cores = (0..m.n_shards)
+                .map(|_| {
+                    ShardCore::new(
+                        config.detector.clone().into(),
+                        config.qos.map(QosPlan::Uniform),
+                    )
+                })
+                .collect();
             // A federated monitor watches every *other* monitor through
             // its digests, at the plan's shared peer-detector recipe.
             let fed = config.federation.as_ref().map(|plan| {
@@ -449,16 +392,22 @@ pub fn run(config: &ClusterConfig, seed: u64) -> ScenarioReport {
                 }
                 f
             });
-            MonitorState {
-                rt,
-                clock,
-                buffer: Vec::with_capacity(FLUSH_BATCH),
+            let mut state = MonitorState {
+                cores,
+                inboxes: vec![Vec::new(); m.n_shards],
+                buffer: Vec::with_capacity(PASS_BATCH),
                 timeline: Vec::new(),
                 ingested: 0,
                 adopted: 0,
-                flushes: 0,
                 fed,
+            };
+            // Pre-register the whole fleet: every stream has a defined
+            // output (initially Suspect) from the first instant, like a
+            // monitor bootstrapped from a membership list.
+            for s in &config.senders {
+                state.core_of(s.stream).register(s.stream);
             }
+            state
         })
         .collect();
 
@@ -551,8 +500,8 @@ pub fn run(config: &ClusterConfig, seed: u64) -> ScenarioReport {
                 let local = config.monitors[monitor].clock.local(t);
                 let state = &mut monitors[monitor];
                 state.buffer.push((stream, seq, local, incarnation));
-                if state.buffer.len() >= FLUSH_BATCH {
-                    state.flush_batch();
+                if state.buffer.len() >= PASS_BATCH {
+                    state.apply_batch();
                 }
             }
             Ev::Digest { monitor } => {
@@ -566,16 +515,18 @@ pub fn run(config: &ClusterConfig, seed: u64) -> ScenarioReport {
                     .expect("digest tick implies a plan");
                 let local_now = spec.clock.local(t);
                 let state = &mut monitors[monitor];
-                // The digest summarizes the runtime's view *now*: ingest
-                // everything that has arrived, wait for the workers
-                // (deterministic — the job set is fixed by the schedule),
-                // and advance the virtual clock to the tick.
-                state.flush_batch();
-                state.rt.flush();
-                state.clock.advance_to(local_now);
+                // The digest summarizes the monitor's view *now*: apply
+                // everything that has arrived, and sweep to the tick.
+                state.apply_batch();
+                state.sweep(local_now);
                 let fed = state.fed.as_mut().expect("federated monitor");
                 if fed.digest_due(local_now) {
-                    let digest = fed.build_digest(&state.rt.statuses(), local_now);
+                    let statuses: Vec<_> = state
+                        .cores
+                        .iter()
+                        .flat_map(|c| c.statuses(local_now))
+                        .collect();
+                    let digest = fed.build_digest(&statuses, local_now);
                     let arrive = t + plan.relay_delay;
                     if arrive < horizon {
                         for peer in 0..config.monitors.len() {
@@ -599,12 +550,18 @@ pub fn run(config: &ClusterConfig, seed: u64) -> ScenarioReport {
                     for e in &adoption.streams {
                         let global_until = origin.global_at(e.trust_until);
                         let local_until = spec.clock.local(global_until);
-                        if state.rt.adopt(e.stream, e.incarnation, local_until) {
+                        let i = route(e.stream, state.cores.len());
+                        if state.cores[i].adopt(
+                            e.stream,
+                            e.incarnation,
+                            local_until,
+                            local_now,
+                            &mut state.timeline,
+                        ) {
                             state.adopted += 1;
                         }
                     }
                 }
-                state.timeline.extend(state.rt.events().try_iter());
                 let next = t + plan.digest_interval;
                 if next < horizon {
                     queue.schedule(next, Ev::Digest { monitor });
@@ -627,23 +584,20 @@ pub fn run(config: &ClusterConfig, seed: u64) -> ScenarioReport {
         }
     }
 
-    // End of run: flush the tail, advance every monitor to its local
-    // end instant, retire pending expiries synchronously, and collect.
+    // End of run: apply the tail, sweep every monitor to its local end
+    // instant, and collect.
     let mut reports = Vec::with_capacity(monitors.len());
     for (m, mut state) in monitors.into_iter().enumerate() {
-        state.flush_batch();
-        state.rt.flush();
-        // A killed monitor's report freezes at the kill: its clock never
-        // passes that instant, so outputs/QoS are read as of the crash.
+        state.apply_batch();
+        // A killed monitor's report freezes at the kill: it is never
+        // swept or read past that instant.
         let end_global = config.monitors[m].kill.map_or(horizon, |k| k.min(horizon));
         let end_local = config.monitors[m].clock.local(end_global);
-        state.clock.advance_to(end_local);
-        state.rt.sweep_now();
-        state.settle();
+        state.sweep(end_local);
         // Canonical order: (at, key) is total — a stream cannot
         // transition twice at one instant (an S needs a strictly
         // earlier horizon; the T restoring it moves the horizon past
-        // it) — so sorting erases worker/channel interleaving.
+        // it) — so sorting erases the order the cores were called in.
         state
             .timeline
             .sort_unstable_by_key(|e| (e.at, e.key, matches!(e.output, FdOutput::Suspect)));
@@ -651,14 +605,18 @@ pub fn run(config: &ClusterConfig, seed: u64) -> ScenarioReport {
         streams.sort_unstable();
         let final_outputs = streams
             .iter()
-            .map(|&s| (s, state.rt.output(s).expect("registered stream")))
+            .map(|&s| {
+                let output = state.core_of(s).output(s, end_local);
+                (s, output.expect("registered stream"))
+            })
             .collect();
         let qos = if config.qos.is_some() {
             streams
                 .iter()
                 .filter_map(|&s| {
-                    let metrics = state.rt.qos_metrics(s)?;
-                    let verdict = state.rt.qos_verdict(s)?;
+                    let core = state.core_of(s);
+                    let metrics = core.qos_metrics(s, end_local)?;
+                    let verdict = core.qos_verdict(s, end_local)?;
                     Some((s, metrics, verdict))
                 })
                 .collect()
@@ -671,7 +629,6 @@ pub fn run(config: &ClusterConfig, seed: u64) -> ScenarioReport {
             qos,
             ingested: state.ingested,
             adopted: state.adopted,
-            events_dropped: state.rt.events_dropped(),
         });
     }
 

@@ -59,7 +59,7 @@
 //! `tests/shard_equivalence.rs` (`tests/support/heap_oracle.rs`).
 
 use crate::detector::{Decision, FailureDetector, FdOutput};
-use crate::slab::StreamSlab;
+use crate::slab::{HotSlot, StreamSlab};
 use crate::suite::{AnyDetector, DetectorConfig};
 use crate::wheel::{TimingWheel, WheelEntry};
 use std::hash::Hash;
@@ -294,18 +294,7 @@ where
             // Trust→Trust across the boot boundary and only the
             // Recovered event marks it.
             let (hot, _, key) = self.slab.apply(slot);
-            if hot.published_trust() {
-                if let Some(p) = hot.trust_until() {
-                    if p < arrival {
-                        hot.set_published(false);
-                        events.push(StreamTransition::new(
-                            key.clone(),
-                            TransitionKind::Suspect,
-                            p,
-                        ));
-                    }
-                }
-            }
+            publish_missed_expiry(hot, key, hot.trust_until(), arrival, events);
             let builder = &self.builder;
             self.slab.reset_detector(slot, |k| builder.build(k));
         }
@@ -322,18 +311,7 @@ where
 
         // Expiry between the previous fresh arrival and this one that no
         // sweep noticed: publish it now, stamped at the expiry instant.
-        if hot.published_trust() {
-            if let Some(p) = prev {
-                if p < arrival {
-                    hot.set_published(false);
-                    events.push(StreamTransition::new(
-                        key.clone(),
-                        TransitionKind::Suspect,
-                        p,
-                    ));
-                }
-            }
-        }
+        publish_missed_expiry(hot, key, prev, arrival, events);
 
         if decision.trust_until > arrival && (recovered || !hot.published_trust()) {
             let was_published = hot.published_trust();
@@ -375,6 +353,12 @@ where
     /// or past the adopted one, a higher incarnation, or the adopted
     /// horizon is already in the past at `now` (nothing to seed — the
     /// stream is suspect either way).
+    ///
+    /// If the local horizon expired strictly before `now` and no sweep
+    /// published it, the missed S-transition is synthesized at that
+    /// horizon before the stream is re-trusted at `now` — exactly as a
+    /// late heartbeat does — so the timeline does not depend on whether
+    /// a sweep ran first.
     pub fn adopt(
         &mut self,
         key: K,
@@ -394,6 +378,7 @@ where
                 return false;
             }
         }
+        publish_missed_expiry(hot, key, hot.trust_until(), now, events);
         hot.set_incarnation(incarnation);
         hot.set_decision(trust_until);
         if !hot.published_trust() {
@@ -512,6 +497,27 @@ where
     /// including superseded (dead) ones not yet pruned.
     pub fn queued_expiries(&self) -> usize {
         self.wheel.len()
+    }
+}
+
+/// Publishes the `Suspect` no sweep reached: a stream still published
+/// as trusted whose `horizon` expired strictly before `t`, stamped at
+/// the horizon.
+#[inline]
+fn publish_missed_expiry<K: Clone>(
+    hot: &mut HotSlot,
+    key: &K,
+    horizon: Option<Nanos>,
+    t: Nanos,
+    events: &mut Vec<StreamTransition<K>>,
+) {
+    if let Some(p) = horizon.filter(|&p| hot.published_trust() && p < t) {
+        hot.set_published(false);
+        events.push(StreamTransition::new(
+            key.clone(),
+            TransitionKind::Suspect,
+            p,
+        ));
     }
 }
 
@@ -863,6 +869,35 @@ mod tests {
             events.is_empty(),
             "already trusted; no new transition: {events:?}"
         );
+    }
+
+    /// A stream whose local horizon expired unpublished and is then
+    /// adopted past `now` gets the same timeline whether or not a sweep
+    /// ran before the adoption: the missed suspicion, then trust again.
+    #[test]
+    fn adoption_over_an_unswept_expiry_matches_sweep_then_adopt() {
+        let timeline = |sweep_first: bool| {
+            let mut s = set();
+            let mut events = Vec::new();
+            s.on_heartbeat_incarnated("a", 0, 1, hb(1), &mut events);
+            let local = s.statuses(hb(1))[0].trust_until.unwrap();
+            let now = local + Span::from_millis(300);
+            if sweep_first {
+                s.sweep(now, &mut events);
+            }
+            assert!(s.adopt("a", 0, now + Span::from_secs(1), now, &mut events));
+            (events, local, now)
+        };
+        let (swept, local, now) = timeline(true);
+        assert_eq!(
+            swept,
+            vec![
+                StreamTransition::new("a", TransitionKind::Trust, hb(1)),
+                StreamTransition::new("a", TransitionKind::Suspect, local),
+                StreamTransition::new("a", TransitionKind::Trust, now),
+            ]
+        );
+        assert_eq!(timeline(false).0, swept);
     }
 
     #[test]

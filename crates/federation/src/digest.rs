@@ -33,7 +33,6 @@
 //! never a panic — digests cross the same hostile network heartbeats
 //! do.
 
-use bytes::Bytes;
 use twofd_sim::time::Nanos;
 
 /// Digest magic bytes.
@@ -107,7 +106,7 @@ impl LivenessDigest {
     }
 
     /// Encodes the digest into a fresh owned buffer.
-    pub fn encode(&self) -> Bytes {
+    pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.wire_size());
         buf.extend_from_slice(&DIGEST_MAGIC);
         buf.extend_from_slice(&DIGEST_VERSION.to_le_bytes());
@@ -122,7 +121,7 @@ impl LivenessDigest {
             buf.extend_from_slice(&e.trust_until.0.to_le_bytes());
             buf.push(u8::from(e.suspect));
         }
-        Bytes::from(buf)
+        buf
     }
 
     /// Decodes a digest from a received datagram. Total: any

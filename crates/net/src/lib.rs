@@ -15,7 +15,9 @@
 //!   `(pL, V(D))` estimator, with a transition event stream.
 //! * [`shard`] — the sharded monitor runtime: per-stream detectors
 //!   partitioned across bounded-queue shard workers with proactive
-//!   freshness sweeping and drop-oldest backpressure.
+//!   freshness sweeping and drop-oldest backpressure. Each shard's
+//!   state is a [`shard::ShardCore`], whose `pass` a single-threaded
+//!   caller such as the cluster simulator can also call directly.
 //! * [`intake`] — batch UDP receive: `recvmmsg(2)` on Linux (raw FFI,
 //!   no extra crates), portable single-`recv` fallback elsewhere.
 //! * [`transport`] — the send/recv seam: UDP (batched or per-datagram)
@@ -49,7 +51,8 @@ pub use intake::BatchReceiver;
 pub use monitor::{Monitor, TransitionEvent};
 pub use sender::HeartbeatSender;
 pub use shard::{
-    DetectorPlan, FleetEvent, Job, ObsOptions, RuntimeStats, ShardConfig, ShardRuntime, ShardStats,
+    DetectorPlan, FleetEvent, Job, ObsOptions, RuntimeStats, ShardConfig, ShardCore, ShardRuntime,
+    ShardStats,
 };
 pub use transport::{
     sim_channel, SenderTransport, SimSender, SimTransport, Transport, UdpDatagramTransport,

@@ -15,21 +15,28 @@
 //!        │               │               │          drop-oldest +
 //!   shard worker    shard worker    shard worker    per-shard counter
 //!   one mutex:      one mutex:      one mutex:
-//!   ProcessSet +    ProcessSet +    ProcessSet +
+//!   ShardCore       ShardCore       ShardCore
+//!   (ProcessSet +   (ProcessSet +   (ProcessSet +
 //!   slot-indexed    slot-indexed    slot-indexed
-//!   obs state       obs state       obs state
-//!   + sweeper       + sweeper       + sweeper
+//!   obs state)      obs state)      obs state)
 //!        └───────────────┴───────────────┘
 //!                 bounded events channel (counted drops)
 //! ```
 //!
+//! * **One pass body** — a shard's state is a [`ShardCore`]: its
+//!   [`ProcessSet`] and the opt-in observability state below, with no
+//!   lock, clock, channel or thread inside. [`ShardCore::pass`] applies
+//!   an inbox of heartbeats, sweeps, and feeds the trackers; it is the
+//!   only caller of [`ProcessSet::on_heartbeat_incarnated`], and only
+//!   the core's `pass` and `sweep` call [`ProcessSet::sweep`]. The
+//!   shard worker calls `pass` under the shard lock; the cluster
+//!   simulator owns its cores and calls it from its one thread.
 //! * **One way in, one lock per shard** — [`ShardRuntime::ingest_batch`]
-//!   is the only ingest entry and [`ProcessSet::on_heartbeat_incarnated`]
-//!   the only apply entry. Each shard has exactly one mutex, guarding
-//!   its [`ProcessSet`] together with the opt-in observability state
-//!   below; it is only ever contended between that shard's worker and
-//!   direct queries or scrapes against the same shard — never across
-//!   shards.
+//!   is the only ingest entry. Each shard has exactly one mutex, guarding
+//!   its [`ShardCore`]; it is only ever contended between that shard's
+//!   worker and direct queries or scrapes against the same shard — never
+//!   across shards. Every control and query method is one call into the
+//!   core under that lock.
 //! * **Bounded everything** — ingestion never blocks: a full shard queue
 //!   drops its *oldest* heartbeat (the one a fresher heartbeat from the
 //!   same regime supersedes anyway — sequence-number freshness makes
@@ -74,8 +81,10 @@
 //! pass relies on each shard queue having one producer that stamps
 //! arrivals in order (the fleet's ingest thread, or a simulator's
 //! driver), so that no queued heartbeat arrived before one already
-//! dequeued. The `shard_equivalence` integration test exploits this to
-//! check the sharded runtime against the sequential replay oracle
+//! dequeued. A single-threaded caller of [`ShardCore::pass`] keeps the
+//! same rule in its simplest form: apply in arrival order, sweep to the
+//! last arrival. The `shard_equivalence` integration test exploits this
+//! to check the sharded runtime against the sequential replay oracle
 //! event-for-event.
 //!
 //! ## Observability
@@ -86,7 +95,7 @@
 //! atomic increment the raw counters used to), a sweep-duration
 //! histogram times every expiry sweep, and a scrape hook fills
 //! queue-depth and live/suspect gauges at exposition time. Two opt-in
-//! extras ride on the worker thread behind [`ObsOptions`]: an
+//! extras ride in the shard pass behind [`ObsOptions`]: an
 //! inter-arrival jitter histogram, and per-stream online QoS tracking
 //! ([`twofd_obs::QosTracker`]) fed by the same freshness decisions and
 //! transition events the detectors already produce. [`RuntimeStats`]
@@ -95,8 +104,9 @@
 //!
 //! The per-stream part of those extras (last arrival, tracker) is a
 //! `Vec` indexed by the dense slot the [`ProcessSet`] interned the
-//! stream at, inside the same mutex as the set: the apply entry hands
-//! the slot back, so feeding a heartbeat costs one indexed write and no
+//! stream at, inside the same [`ShardCore`] as the set: the apply entry
+//! hands the slot back, so feeding a heartbeat costs one indexed write
+//! and no
 //! second lookup, and a tracker can never be read between a pass's
 //! heartbeats and that pass's transitions. `deregister` clears a slot's
 //! entry (and its `twofd_qos_*` series) before the slab recycles the
@@ -192,12 +202,6 @@ pub struct ObsOptions {
     /// estimates surface as `twofd_qos_*` gauges on scrape and through
     /// [`ShardRuntime::qos_metrics`] / [`ShardRuntime::qos_verdict`].
     pub qos: Option<QosPlan>,
-}
-
-impl ObsOptions {
-    fn enabled(&self) -> bool {
-        self.jitter || self.qos.is_some()
-    }
 }
 
 /// Tuning knobs of the sharded runtime, including which detector runs
@@ -332,18 +336,153 @@ impl ShardObs {
     }
 }
 
-/// Everything a shard's one mutex guards: the detector bank and, beside
-/// it, the opt-in observability state indexed by the bank's slots.
-struct ShardState {
+/// One shard's detector bank — a [`ProcessSet`] — and, beside it, the
+/// opt-in observability state indexed by the bank's slots.
+///
+/// A `ShardCore` holds no lock, clock, channel or thread: every method
+/// is a plain `&mut self` call that takes the instant it works at and
+/// appends the transitions it produces to a caller-owned `Vec`.
+/// [`ShardCore::pass`] is the one body of a shard pass. A
+/// [`ShardRuntime`] keeps one core per shard under the shard's mutex and
+/// its worker thread calls `pass`; a single-threaded caller (the cluster
+/// simulator) owns its cores outright and calls the same methods. Fed
+/// the same heartbeats in arrival order and swept to the same instants,
+/// the two publish the same timeline.
+pub struct ShardCore {
     set: ProcessSet<u64, DetectorPlan>,
-    /// `None` when `ObsOptions` asked for nothing, so the default apply
+    /// `None` when no observability extra is on, so the default apply
     /// loop pays one never-taken branch for it.
     obs: Option<ShardObs>,
+    /// The `twofd_sweep_duration_seconds` cell of a runtime's shard.
+    /// Its wall-clock reads time the sweep for the metric and never
+    /// feed a decision; a core without one reads no clock at all.
+    sweep_hist: Option<Histogram>,
+    /// What the current pass applied, by slot, for the obs feed at the
+    /// end of the pass; only populated when the extras are on. The feed
+    /// runs after the applies, not among them: back to back, the
+    /// tracker updates' cache misses overlap, while one interleaved
+    /// with each apply is paid in full (EXPERIMENTS.md, "One lock, one
+    /// table").
+    observed: Vec<(u32, Job, Option<Decision>)>,
 }
 
-impl ShardState {
-    /// Feeds transitions produced under this lock hold to the QoS
-    /// trackers of their streams (a jitter-only configuration has none).
+impl ShardCore {
+    /// An empty core building detectors per `detector`, with an online
+    /// [`QosTracker`] on every stream `qos` covers.
+    pub fn new(detector: DetectorPlan, qos: Option<QosPlan>) -> Self {
+        Self::with_metrics(detector, qos, None, None)
+    }
+
+    fn with_metrics(
+        detector: DetectorPlan,
+        qos: Option<QosPlan>,
+        jitter: Option<Histogram>,
+        sweep_hist: Option<Histogram>,
+    ) -> Self {
+        let obs = (jitter.is_some() || qos.is_some()).then(|| ShardObs {
+            jitter,
+            qos,
+            // hotpath:allow(alloc) — startup path: the empty table; it
+            // grows with the slab, at registration.
+            streams: Vec::new(),
+        });
+        ShardCore {
+            set: ProcessSet::new(detector),
+            obs,
+            sweep_hist,
+            // hotpath:allow(alloc) — startup path: reused (drained,
+            // never dropped) by every pass.
+            observed: Vec::new(),
+        }
+    }
+
+    /// One shard pass at instant `now`: applies `inbox` (drained) in
+    /// order, sweeps every horizon that expired before `now`, then
+    /// feeds the jitter/QoS extras the pass's heartbeats and, after
+    /// them, its transitions. `backlog` says the caller left heartbeats
+    /// queued behind this inbox; such a pass sweeps no further than its
+    /// last applied arrival. Appends the pass's transitions to `events`
+    /// and returns how many heartbeats were stale.
+    ///
+    /// The timeline is the sequential one, however the heartbeats are
+    /// cut into passes, as long as each inbox is in arrival order, none
+    /// of it arrived before a heartbeat an earlier pass applied, and —
+    /// unless `backlog` is set — no heartbeat left for a later pass
+    /// arrived before `now`.
+    pub fn pass(
+        &mut self,
+        now: Nanos,
+        backlog: bool,
+        inbox: &mut Vec<Job>,
+        events: &mut Vec<FleetEvent>,
+    ) -> u64 {
+        let start = events.len();
+        let last_applied = inbox.last().map(|&(_, _, arrival, _)| arrival);
+        let mut stale = 0u64;
+        for job in inbox.drain(..) {
+            let (stream, seq, arrival, incarnation) = job;
+            let (slot, decision) =
+                self.set
+                    .on_heartbeat_incarnated(stream, incarnation, seq, arrival, events);
+            stale += u64::from(decision.is_none());
+            if self.obs.is_some() {
+                self.observed.push((slot, job, decision));
+            }
+        }
+        self.sweep_set(sweep_horizon(now, last_applied, backlog), events);
+        // Heartbeats first, then the pass's transitions: TD samples are
+        // order-insensitive, and the transition list already carries
+        // the exact mistake timeline.
+        if let Some(obs) = &mut self.obs {
+            for (slot, job, decision) in self.observed.drain(..) {
+                obs.on_heartbeat(slot, job, decision);
+            }
+        }
+        self.observe_transitions(&events[start..]);
+        stale
+    }
+
+    /// Publishes the Suspect of every stream whose horizon expired
+    /// strictly before `now`, stamped at the horizon, and feeds them to
+    /// the QoS trackers. Idempotent: a horizon is retired once.
+    pub fn sweep(&mut self, now: Nanos, events: &mut Vec<FleetEvent>) {
+        let start = events.len();
+        self.sweep_set(now, events);
+        self.observe_transitions(&events[start..]);
+    }
+
+    fn sweep_set(&mut self, now: Nanos, events: &mut Vec<FleetEvent>) {
+        // xtask:allow(wall_clock) — times the sweep for the sweep_hist
+        // metric; never feeds detector decisions.
+        let started = self.sweep_hist.is_some().then(std::time::Instant::now);
+        self.set.sweep(now, events);
+        if let (Some(hist), Some(started)) = (&self.sweep_hist, started) {
+            hist.observe_ns(started.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// Seeds (or refreshes) `stream`'s horizon and incarnation from a
+    /// peer's relayed view at instant `now` — see
+    /// [`ProcessSet::adopt`] — and feeds the resulting transitions to
+    /// its tracker. Returns whether the view was applied.
+    pub fn adopt(
+        &mut self,
+        stream: u64,
+        incarnation: u32,
+        trust_until: Nanos,
+        now: Nanos,
+        events: &mut Vec<FleetEvent>,
+    ) -> bool {
+        let start = events.len();
+        let applied = self
+            .set
+            .adopt(stream, incarnation, trust_until, now, events);
+        self.observe_transitions(&events[start..]);
+        applied
+    }
+
+    /// Feeds transitions this core just appended to the QoS trackers of
+    /// their streams (a jitter-only configuration has none).
     fn observe_transitions(&mut self, events: &[FleetEvent]) {
         let Some(obs) = self.obs.as_mut().filter(|obs| obs.qos.is_some()) else {
             return;
@@ -358,10 +497,15 @@ impl ShardState {
         }
     }
 
+    /// Pre-registers `stream` (suspect until its first heartbeat); a
+    /// no-op for a known stream.
+    pub fn register(&mut self, stream: u64) {
+        self.set.register(stream);
+    }
+
     /// Removes `stream`, its obs entry first: the slot reaches the
-    /// slab's free list, under the same lock hold, with nothing for its
-    /// next occupant to inherit. Returns whether the stream existed and
-    /// whether it had a tracker.
+    /// slab's free list with nothing for its next occupant to inherit.
+    /// Returns whether the stream existed and whether it had a tracker.
     fn deregister(&mut self, stream: u64) -> (bool, bool) {
         let obs = self
             .set
@@ -373,16 +517,37 @@ impl ShardState {
         )
     }
 
+    /// `stream`'s output at `now` (`None` if never seen or registered).
+    pub fn output(&self, stream: u64, now: Nanos) -> Option<FdOutput> {
+        self.set.output(&stream, now)
+    }
+
+    /// Status of every stream of this core at `now`.
+    pub fn statuses(&self, now: Nanos) -> Vec<ProcessStatus<u64>> {
+        self.set.statuses(now)
+    }
+
     fn tracker(&mut self, stream: u64) -> Option<&mut QosTracker> {
         let slot = self.set.slot_of(&stream)?;
         let obs = self.obs.as_mut()?.streams.get_mut(slot as usize)?;
         obs.as_mut()?.tracker.as_mut()
     }
+
+    /// `stream`'s online QoS estimates at `now`, if a tracker covers it.
+    pub fn qos_metrics(&mut self, stream: u64, now: Nanos) -> Option<QosMetrics> {
+        Some(self.tracker(stream)?.metrics_at(now))
+    }
+
+    /// `stream`'s verdict against its QoS bound at `now`, if a tracker
+    /// covers it.
+    pub fn qos_verdict(&mut self, stream: u64, now: Nanos) -> Option<QosVerdict> {
+        Some(self.tracker(stream)?.verdict_at(now))
+    }
 }
 
 struct ShardShared {
     /// The shard's one lock.
-    state: Mutex<ShardState>,
+    core: Mutex<ShardCore>,
     /// Heartbeats routed to this shard.
     received: Counter,
     /// Heartbeats evicted by drop-oldest backpressure.
@@ -398,8 +563,6 @@ struct ShardShared {
     /// Recovered transitions published (restart with a bumped
     /// incarnation re-trusted the stream).
     to_recovered: Counter,
-    /// Wall-clock duration of each expiry sweep.
-    sweep_hist: Histogram,
 }
 
 struct Shard {
@@ -713,18 +876,13 @@ impl ShardRuntime {
             .map(|i| {
                 let label = i.to_string();
                 let (tx, rx) = bounded::<Job>(config.queue_capacity);
-                let obs = config.obs.enabled().then(|| ShardObs {
-                    jitter: jitter_vec.as_ref().map(|v| v.with(&[&label])),
-                    qos: config.obs.qos.clone(),
-                    // hotpath:allow(alloc) — startup path: the empty
-                    // table; it grows with the slab, at registration.
-                    streams: Vec::new(),
-                });
                 let shared = Arc::new(ShardShared {
-                    state: Mutex::new(ShardState {
-                        set: ProcessSet::new(config.detector.clone()),
-                        obs,
-                    }),
+                    core: Mutex::new(ShardCore::with_metrics(
+                        config.detector.clone(),
+                        config.obs.qos.clone(),
+                        jitter_vec.as_ref().map(|v| v.with(&[&label])),
+                        Some(sweep_vec.with(&[&label])),
+                    )),
                     received: received_vec.with(&[&label]),
                     dropped: dropped_vec.with(&[&label]),
                     applied: applied_vec.with(&[&label]),
@@ -732,7 +890,6 @@ impl ShardRuntime {
                     to_trust: transitions_vec.with(&[&label, "to_trust"]),
                     to_suspect: transitions_vec.with(&[&label, "to_suspect"]),
                     to_recovered: transitions_vec.with(&[&label, "to_recovered"]),
-                    sweep_hist: sweep_vec.with(&[&label]),
                 });
                 let worker = {
                     let shared = Arc::clone(&shared);
@@ -810,11 +967,11 @@ impl ShardRuntime {
                 // loop: runs at exporter cadence (seconds) and holds
                 // each shard's lock for an O(live) tally plus, with QoS
                 // tracking on, one estimate per tracked stream.
-                let mut state = shard.shared.state.lock();
-                let (live, suspect) = state.set.counts(now);
+                let mut core = shard.shared.core.lock();
+                let (live, suspect) = core.set.counts(now);
                 streams_gauge.with(&[&label, "live"]).set(live as f64);
                 streams_gauge.with(&[&label, "suspect"]).set(suspect as f64);
-                if let (Some(gauges), Some(obs)) = (&inner.qos_gauges, &mut state.obs) {
+                if let (Some(gauges), Some(obs)) = (&inner.qos_gauges, &mut core.obs) {
                     for obs in obs.streams.iter_mut().flatten() {
                         if let Some(tracker) = &mut obs.tracker {
                             let metrics = tracker.metrics_at(now);
@@ -913,12 +1070,7 @@ impl ShardRuntime {
     pub fn register(&self, stream: u64) {
         // hotpath:allow(block) — control-plane admin op, not the worker
         // loop: the per-shard mutex is held for one O(1) insert.
-        self.shard_of(stream)
-            .shared
-            .state
-            .lock()
-            .set
-            .register(stream);
+        self.shard_of(stream).shared.core.lock().register(stream);
     }
 
     /// Removes a stream from monitoring; returns whether it existed.
@@ -932,7 +1084,7 @@ impl ShardRuntime {
     pub fn deregister(&self, stream: u64) -> bool {
         // hotpath:allow(block) — control-plane admin op: one short
         // critical section (O(1) removals), off the heartbeat path.
-        let (existed, tracked) = self.shard_of(stream).shared.state.lock().deregister(stream);
+        let (existed, tracked) = self.shard_of(stream).shared.core.lock().deregister(stream);
         if let (true, Some(gauges)) = (tracked, &self.inner.qos_gauges) {
             gauges.remove(stream);
         }
@@ -957,17 +1109,15 @@ impl ShardRuntime {
         // runs at relay cadence, not per heartbeat; one scratch vector
         // per call is fine.
         let mut events: Vec<FleetEvent> = Vec::new();
-        let applied = {
-            // hotpath:allow(block) — digest-relay control plane: one
-            // short critical section, serialized with the worker by
-            // design (the shard mutex IS the serialization point).
-            let mut state = shard.shared.state.lock();
-            let applied = state
-                .set
+        // hotpath:allow(block) — digest-relay control plane: one short
+        // critical section, serialized with the worker by design (the
+        // shard mutex IS the serialization point).
+        let applied =
+            shard
+                .shared
+                .core
+                .lock()
                 .adopt(stream, incarnation, trust_until, now, &mut events);
-            state.observe_transitions(&events);
-            applied
-        };
         publish(
             &shard.shared,
             &self.inner.events_tx,
@@ -982,12 +1132,7 @@ impl ShardRuntime {
         let now = self.inner.clock.now();
         // hotpath:allow(block) — caller-side query, not the worker
         // loop: one O(1) lookup under the per-shard mutex.
-        self.shard_of(stream)
-            .shared
-            .state
-            .lock()
-            .set
-            .output(&stream, now)
+        self.shard_of(stream).shared.core.lock().output(stream, now)
     }
 
     /// Status snapshot of every monitored stream, across all shards.
@@ -999,7 +1144,7 @@ impl ShardRuntime {
         self.inner
             .shards
             .iter()
-            .flat_map(|s| s.shared.state.lock().set.statuses(now))
+            .flat_map(|s| s.shared.core.lock().statuses(now))
             .collect()
     }
 
@@ -1011,7 +1156,7 @@ impl ShardRuntime {
         self.inner
             .shards
             .iter()
-            .flat_map(|s| s.shared.state.lock().set.suspected(now))
+            .flat_map(|s| s.shared.core.lock().set.suspected(now))
             .collect()
     }
 
@@ -1022,7 +1167,7 @@ impl ShardRuntime {
         self.inner
             .shards
             .iter()
-            .map(|s| s.shared.state.lock().set.len())
+            .map(|s| s.shared.core.lock().set.len())
             .sum()
     }
 
@@ -1047,8 +1192,11 @@ impl ShardRuntime {
         let now = self.inner.clock.now();
         // hotpath:allow(block) — observer query: one O(1) tracker
         // lookup under the shard lock, off the worker loop.
-        let mut state = self.shard_of(stream).shared.state.lock();
-        Some(state.tracker(stream)?.metrics_at(now))
+        self.shard_of(stream)
+            .shared
+            .core
+            .lock()
+            .qos_metrics(stream, now)
     }
 
     /// The live verdict of one stream against its configured QoS bound,
@@ -1058,8 +1206,11 @@ impl ShardRuntime {
         let now = self.inner.clock.now();
         // hotpath:allow(block) — observer query, same O(1) lookup
         // discipline as `qos_metrics`.
-        let mut state = self.shard_of(stream).shared.state.lock();
-        Some(state.tracker(stream)?.verdict_at(now))
+        self.shard_of(stream)
+            .shared
+            .core
+            .lock()
+            .qos_verdict(stream, now)
     }
 
     /// Observability snapshot: per-shard counters, queue depths and
@@ -1075,10 +1226,10 @@ impl ShardRuntime {
                 let (streams, live, suspect, queue_depth) = {
                     // hotpath:allow(block) — observability snapshot:
                     // per-shard O(live) tally at caller cadence.
-                    let state = s.shared.state.lock();
-                    let (live, suspect) = state.set.counts(now);
+                    let core = s.shared.core.lock();
+                    let (live, suspect) = core.set.counts(now);
                     let depth = s.tx.as_ref().map(|tx| tx.len()).unwrap_or(0);
-                    (state.set.len(), live, suspect, depth)
+                    (core.set.len(), live, suspect, depth)
                 };
                 ShardStats {
                     shard: i,
@@ -1147,21 +1298,10 @@ impl ShardRuntime {
         // sweep cadence from tests/sims; one scratch vector per call.
         let mut events: Vec<FleetEvent> = Vec::new();
         for shard in &self.inner.shards {
-            {
-                // hotpath:allow(block) — caller-side sweep: serializes
-                // with the worker on the shard mutex by design, holding
-                // it for exactly one sweep.
-                let mut state = shard.shared.state.lock();
-                // xtask:allow(wall_clock) — measures sweep duration for
-                // the sweep_hist metric; never feeds detector decisions.
-                let sweep_started = std::time::Instant::now();
-                state.set.sweep(now, &mut events);
-                shard
-                    .shared
-                    .sweep_hist
-                    .observe_ns(sweep_started.elapsed().as_nanos() as u64);
-                state.observe_transitions(&events);
-            }
+            // hotpath:allow(block) — caller-side sweep: serializes with
+            // the worker on the shard mutex by design, holding it for
+            // exactly one sweep.
+            shard.shared.core.lock().sweep(now, &mut events);
             publish(
                 &shard.shared,
                 &self.inner.events_tx,
@@ -1221,19 +1361,11 @@ fn shard_worker(
     clock: Arc<dyn TimeSource>,
     sweep_interval: Duration,
 ) {
-    // hotpath:allow(alloc) — worker startup: the event, inbox and
-    // tracker-feed vectors are allocated once per worker thread and
-    // reused (drained, never dropped) across every pass of the loop
-    // below; the inbox never holds more than the `MAX_BATCH` it is
-    // sized for.
+    // hotpath:allow(alloc) — worker startup: the event and inbox
+    // vectors are allocated once per worker thread and reused (drained,
+    // never dropped) across every pass of the loop below; the inbox
+    // never holds more than the `MAX_BATCH` it is sized for.
     let mut events: Vec<FleetEvent> = Vec::new();
-    // What this pass applied, by slot, for the jitter/QoS feed at the
-    // end of the same lock hold; only populated when the extras are on.
-    // The feed runs after the applies, not among them: back to back,
-    // the tracker updates' cache misses overlap, while one interleaved
-    // with each apply is paid in full (EXPERIMENTS.md, "One lock, one
-    // table").
-    let mut observed: Vec<(u32, Job, Option<Decision>)> = Vec::new();
     // This pass's heartbeats, dequeued in one go. A job received while
     // parked waits here for the next pass, so it is applied under the
     // same lock (and before the same sweep) as the rest of its batch.
@@ -1253,8 +1385,7 @@ fn shard_worker(
             // worker, uncontended except against short control-plane
             // sections, held for at most MAX_BATCH applies + one sweep
             // (parking_lot fast path is one CAS when uncontended).
-            let mut state = shared.state.lock();
-            let state = &mut *state;
+            let mut core = shared.core.lock();
             // One queue lock per pass, taken under the shard lock so
             // that a caller's `sweep_now` cannot run between a heartbeat
             // leaving the queue and its apply.
@@ -1264,22 +1395,14 @@ fn shard_worker(
                 Err(TryRecvError::Disconnected)
             );
             batch = inbox.len();
-            let last_applied = inbox.last().map(|&(_, _, arrival, _)| arrival);
-            let mut stale = 0u64;
-            for job in inbox.drain(..) {
-                let (stream, seq, arrival, incarnation) = job;
-                let (slot, decision) = state.set.on_heartbeat_incarnated(
-                    stream,
-                    incarnation,
-                    seq,
-                    arrival,
-                    &mut events,
-                );
-                stale += u64::from(decision.is_none());
-                if state.obs.is_some() {
-                    observed.push((slot, job, decision));
-                }
-            }
+            // Sweep on every pass; one that left heartbeats queued
+            // stops at its last applied arrival (`sweep_horizon`).
+            // Sweeping at `now` whenever `now ≥ next_expiry` would not
+            // be exact: behind a backlog it publishes `Suspect@T` for a
+            // stream whose queued heartbeat arrived in time, then
+            // `Trust@A` with `A < T` once that heartbeat is applied.
+            let backlog = batch == MAX_BATCH && !rx.is_empty();
+            let stale = core.pass(now, backlog, &mut inbox, &mut events);
             // One update per pass: the producer and `flush` poll these
             // lines, so a bump per heartbeat would bounce them per
             // heartbeat.
@@ -1289,34 +1412,10 @@ fn shard_worker(
             if stale > 0 {
                 shared.stale.add(stale);
             }
-            // Sweep on every pass; one that left heartbeats queued
-            // stops at its last applied arrival (`sweep_horizon`).
-            // Sweeping at `now` whenever `now ≥ next_expiry` would not
-            // be exact: behind a backlog it publishes `Suspect@T` for a
-            // stream whose queued heartbeat arrived in time, then
-            // `Trust@A` with `A < T` once that heartbeat is applied.
-            let left_queued = batch == MAX_BATCH && !rx.is_empty();
-            let horizon = sweep_horizon(now, last_applied, left_queued);
-            // xtask:allow(wall_clock) — measures sweep duration for
-            // the sweep_hist metric; never feeds detector decisions.
-            let sweep_started = std::time::Instant::now();
-            state.set.sweep(horizon, &mut events);
-            shared
-                .sweep_hist
-                .observe_ns(sweep_started.elapsed().as_nanos() as u64);
-            // Heartbeats first, then the pass's transitions: TD samples
-            // are order-insensitive, and the transition list already
-            // carries the exact mistake timeline.
-            if let Some(obs) = &mut state.obs {
-                for (slot, job, decision) in observed.drain(..) {
-                    obs.on_heartbeat(slot, job, decision);
-                }
-            }
-            state.observe_transitions(&events);
             // Its one consumer is the park below, and only a pass that
             // applied nothing parks: a productive pass lingers instead.
             next_expiry = if batch == 0 {
-                state.set.next_expiry()
+                core.set.next_expiry()
             } else {
                 None
             };
@@ -1464,41 +1563,64 @@ mod tests {
         assert_eq!(sweep_horizon(now, Some(hb(7)), false), now);
         assert_eq!(sweep_horizon(now, None, false), now);
 
-        // Why: stream 1's beats 1–3 were applied and its on-time beat 4
+        // Why: stream 1's beats 1–3 are one pass and its on-time beat 4
         // is still queued when the clock passes beat 3's horizon.
-        let fed = || {
-            let mut set = ProcessSet::new(plan());
-            let mut events = Vec::new();
-            for seq in 1..=3 {
-                set.on_heartbeat_incarnated(1u64, 0, seq, hb(seq), &mut events);
-            }
-            (set, events)
+        let beats = |seqs: std::ops::RangeInclusive<u64>| -> Vec<Job> {
+            seqs.map(|seq| (1, seq, hb(seq), 0)).collect()
         };
-        let expiry = fed().0.next_expiry().expect("stream 1 is trusted");
+        let expiry = {
+            let mut core = ShardCore::new(plan(), None);
+            core.pass(hb(3), false, &mut beats(1..=3), &mut Vec::new());
+            core.statuses(hb(3))[0]
+                .trust_until
+                .expect("stream 1 is trusted")
+        };
         assert!(hb(4) < expiry, "beat 4 is on time");
         let now = expiry + Span::from_millis(50);
-        let timeline = |sweep_at: Nanos| {
-            let (mut set, mut events) = fed();
-            set.sweep(sweep_at, &mut events);
-            set.on_heartbeat_incarnated(1, 0, 4, hb(4), &mut events);
+        let timeline = |backlog: bool| {
+            let mut core = ShardCore::new(plan(), None);
+            let mut events = Vec::new();
+            core.pass(now, backlog, &mut beats(1..=3), &mut events);
+            core.pass(now, false, &mut beats(4..=4), &mut events);
             events.iter().map(|e| (e.kind, e.at)).collect::<Vec<_>>()
         };
         // Swept to the last applied arrival: beat 4 keeps the stream
         // trusted, as it would have sequentially.
-        assert_eq!(
-            timeline(sweep_horizon(now, Some(hb(3)), true)),
-            vec![(TransitionKind::Trust, hb(1))]
-        );
+        assert_eq!(timeline(true), vec![(TransitionKind::Trust, hb(1))]);
         // Swept to `now`: a Suspect the schedule never had, and a Trust
         // stamped before it.
         assert_eq!(
-            timeline(now),
+            timeline(false),
             vec![
                 (TransitionKind::Trust, hb(1)),
                 (TransitionKind::Suspect, expiry),
                 (TransitionKind::Trust, hb(4)),
             ]
         );
+    }
+
+    /// A caller may keep one event `Vec` across passes (the simulator
+    /// appends every pass to its timeline): each pass feeds the trackers
+    /// only the transitions it appended, so a mistake is counted once.
+    #[test]
+    fn passes_appending_to_one_event_vec_feed_each_transition_once() {
+        use TransitionKind::{Suspect, Trust};
+        let qos = QosPlan::Uniform(QosTrackerConfig::cumulative(DI));
+        let mut core = ShardCore::new(plan(), Some(qos));
+        let mut events = Vec::new();
+        // Beat 6 goes missing and beat 7 arrives two seconds late: the
+        // pass publishes Trust, the missed Suspect, and Trust again.
+        let late = hb(5) + Span::from_secs(2);
+        let mut first: Vec<Job> = (1..=5).map(|seq| (7, seq, hb(seq), 0)).collect();
+        first.push((7, 7, late, 0));
+        core.pass(late, false, &mut first, &mut events);
+        let kinds: Vec<TransitionKind> = events.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, vec![Trust, Suspect, Trust]);
+        // An on-time beat 8: no transition of its own, and none fed again.
+        let next = late + DI;
+        core.pass(next, false, &mut vec![(7, 8, next, 0)], &mut events);
+        assert_eq!(events.len(), 3);
+        assert_eq!(core.qos_metrics(7, next).expect("tracked").mistakes, 1);
     }
 
     #[test]
@@ -1859,7 +1981,7 @@ mod tests {
     }
 
     fn slot_of(rt: &ShardRuntime, stream: u64) -> Option<u32> {
-        rt.shard_of(stream).shared.state.lock().set.slot_of(&stream)
+        rt.shard_of(stream).shared.core.lock().set.slot_of(&stream)
     }
 
     fn jitter_count(rt: &ShardRuntime) -> u64 {

@@ -2,8 +2,7 @@
 //!
 //! Two formats, both self-contained and dependency-light:
 //!
-//! * **Binary** (`.twtr`) — a compact little-endian layout via the
-//!   `bytes` crate. Arrival times are stored as deltas from the send
+//! * **Binary** (`.twtr`) — a compact little-endian layout. Arrival times are stored as deltas from the send
 //!   time; lost heartbeats use a sentinel. This is the format the bench
 //!   harnesses cache generated traces in.
 //! * **CSV** — `seq,send_nanos,arrival_nanos` rows with an empty third
@@ -14,7 +13,6 @@
 //! suite verify bit-for-bit equality).
 
 use crate::record::{HeartbeatRecord, Trace};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 use std::io::{self, Read, Write};
 use twofd_sim::time::{Nanos, Span};
@@ -56,64 +54,74 @@ impl From<io::Error> for CodecError {
 }
 
 /// Encodes a trace into the binary format.
-pub fn encode_binary(trace: &Trace) -> Bytes {
+pub fn encode_binary(trace: &Trace) -> Vec<u8> {
     let name = trace.name.as_bytes();
-    let mut buf = BytesMut::with_capacity(4 + 2 + 4 + name.len() + 8 + 8 + trace.sent() * 24);
-    buf.put_slice(MAGIC);
-    buf.put_u16_le(VERSION);
-    buf.put_u32_le(name.len() as u32);
-    buf.put_slice(name);
-    buf.put_u64_le(trace.interval.0);
-    buf.put_u64_le(trace.sent() as u64);
+    let mut buf = Vec::with_capacity(4 + 2 + 4 + name.len() + 8 + 8 + trace.sent() * 24);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
+    buf.extend_from_slice(name);
+    buf.extend_from_slice(&trace.interval.0.to_le_bytes());
+    buf.extend_from_slice(&(trace.sent() as u64).to_le_bytes());
     for r in &trace.records {
-        buf.put_u64_le(r.seq);
-        buf.put_u64_le(r.send.0);
-        match r.arrival {
-            // Delta keeps numbers small; LOST is the drop sentinel.
-            // Arrival can precede send only through clock skew, which the
-            // simulated traces never produce, so the delta is uniquely
-            // decodable; a real-world extension would add a signed delta.
-            Some(a) => buf.put_u64_le(a.0 - r.send.0),
-            None => buf.put_u64_le(LOST),
+        // Delta keeps numbers small; LOST is the drop sentinel.
+        // Arrival can precede send only through clock skew, which the
+        // simulated traces never produce, so the delta is uniquely
+        // decodable; a real-world extension would add a signed delta.
+        let delta = r.arrival.map_or(LOST, |a| a.0 - r.send.0);
+        for word in [r.seq, r.send.0, delta] {
+            buf.extend_from_slice(&word.to_le_bytes());
         }
     }
-    buf.freeze()
+    buf
+}
+
+/// Splits the first `N` bytes off `data`; the caller has checked the
+/// length.
+fn take<const N: usize>(data: &mut &[u8]) -> [u8; N] {
+    let (head, rest) = data
+        .split_first_chunk()
+        .expect("the caller checked the length");
+    *data = rest;
+    *head
+}
+
+fn take_u64(data: &mut &[u8]) -> u64 {
+    u64::from_le_bytes(take(data))
 }
 
 /// Decodes a binary trace.
 pub fn decode_binary(mut data: &[u8]) -> Result<Trace, CodecError> {
     fn need(data: &[u8], n: usize, what: &str) -> Result<(), CodecError> {
-        if data.remaining() < n {
+        if data.len() < n {
             Err(CodecError::Malformed(format!("truncated {what}")))
         } else {
             Ok(())
         }
     }
     need(data, 4 + 2 + 4, "header")?;
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    if &take::<4>(&mut data) != MAGIC {
         return Err(CodecError::Malformed("bad magic".into()));
     }
-    let version = data.get_u16_le();
+    let version = u16::from_le_bytes(take(&mut data));
     if version != VERSION {
         return Err(CodecError::UnsupportedVersion(version));
     }
-    let name_len = data.get_u32_le() as usize;
+    let name_len = u32::from_le_bytes(take(&mut data)) as usize;
     need(data, name_len, "name")?;
     let name = String::from_utf8(data[..name_len].to_vec())
         .map_err(|_| CodecError::Malformed("name is not UTF-8".into()))?;
-    data.advance(name_len);
+    data = &data[name_len..];
     need(data, 16, "interval/count")?;
-    let interval = Span(data.get_u64_le());
-    let count = data.get_u64_le() as usize;
-    need(data, count * 24, "records")?;
+    let interval = Span(take_u64(&mut data));
+    let count = take_u64(&mut data) as usize;
+    need(data, count.saturating_mul(24), "records")?;
     let mut records = Vec::with_capacity(count);
     let mut prev_seq = 0u64;
     for _ in 0..count {
-        let seq = data.get_u64_le();
-        let send = Nanos(data.get_u64_le());
-        let delta = data.get_u64_le();
+        let seq = take_u64(&mut data);
+        let send = Nanos(take_u64(&mut data));
+        let delta = take_u64(&mut data);
         if seq <= prev_seq {
             return Err(CodecError::Malformed(format!(
                 "non-increasing sequence number {seq}"

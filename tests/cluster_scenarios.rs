@@ -117,9 +117,6 @@ fn monitor_failover_adopts_and_replays_bit_identically() {
         scenario.config.senders.len(),
         "the survivor adopts every relayed stream"
     );
-    for m in &a.monitors {
-        assert_eq!(m.events_dropped, 0);
-    }
 }
 
 #[test]
