@@ -62,7 +62,8 @@ pub struct QosMetrics {
 }
 
 impl QosMetrics {
-    /// Computes the metrics from a mistake log.
+    /// Computes the metrics from a mistake log: folds it, in order, into
+    /// the totals [`QosMetrics::from_totals`] takes.
     ///
     /// * `mistakes` — the replay's mistake log.
     /// * `observed` — observation span (first fresh arrival → horizon).
@@ -76,21 +77,59 @@ impl QosMetrics {
         fresh: u64,
         interval: Span,
     ) -> QosMetrics {
-        let observed_secs = observed.as_secs_f64();
-        let suspect: f64 = mistakes.iter().map(|m| m.duration().as_secs_f64()).sum();
-        let closed: Vec<&Mistake> = mistakes.iter().filter(|m| !m.censored).collect();
-        let avg_mistake_duration = if closed.is_empty() {
-            if mistakes.is_empty() {
-                0.0
-            } else {
-                suspect / mistakes.len() as f64
+        let (mut closed, mut closed_secs, mut suspect_secs) = (0u64, 0.0f64, 0.0f64);
+        for m in mistakes {
+            let secs = m.duration().as_secs_f64();
+            suspect_secs += secs;
+            if !m.censored {
+                closed += 1;
+                closed_secs += secs;
             }
+        }
+        QosMetrics::from_totals(
+            mistakes.len() as u64,
+            closed,
+            closed_secs,
+            suspect_secs,
+            observed,
+            sum_worst_td,
+            fresh,
+            interval,
+        )
+    }
+
+    /// Computes the metrics from running totals — the one formula both
+    /// the offline mistake log ([`QosMetrics::from_mistakes`]) and the
+    /// online tracker feed.
+    ///
+    /// * `mistakes` — mistakes in the span, censored included.
+    /// * `closed` — how many of them are closed (not censored).
+    /// * `closed_secs` — Σ duration of the closed ones, seconds.
+    /// * `suspect_secs` — Σ duration of all of them, seconds.
+    /// * `observed`, `sum_worst_td`, `fresh`, `interval` — as for
+    ///   [`QosMetrics::from_mistakes`].
+    ///
+    /// The mean mistake duration is over closed mistakes only, unless
+    /// every mistake is censored: then the mean over censored spans is
+    /// the only estimate there is.
+    #[allow(clippy::too_many_arguments)]
+    pub fn from_totals(
+        mistakes: u64,
+        closed: u64,
+        closed_secs: f64,
+        suspect_secs: f64,
+        observed: Span,
+        sum_worst_td: f64,
+        fresh: u64,
+        interval: Span,
+    ) -> QosMetrics {
+        let observed_secs = observed.as_secs_f64();
+        let avg_mistake_duration = if closed > 0 {
+            closed_secs / closed as f64
+        } else if mistakes > 0 {
+            suspect_secs / mistakes as f64
         } else {
-            closed
-                .iter()
-                .map(|m| m.duration().as_secs_f64())
-                .sum::<f64>()
-                / closed.len() as f64
+            0.0
         };
         let worst = if fresh == 0 {
             0.0
@@ -101,17 +140,17 @@ impl QosMetrics {
             detection_time: (worst - interval.as_secs_f64() / 2.0).max(0.0),
             worst_detection_time: worst,
             mistake_rate: if observed_secs > 0.0 {
-                mistakes.len() as f64 / observed_secs
+                mistakes as f64 / observed_secs
             } else {
                 0.0
             },
             avg_mistake_duration,
             query_accuracy: if observed_secs > 0.0 {
-                (1.0 - suspect / observed_secs).clamp(0.0, 1.0)
+                (1.0 - suspect_secs / observed_secs).clamp(0.0, 1.0)
             } else {
                 1.0
             },
-            mistakes: mistakes.len() as u64,
+            mistakes,
             observed_secs,
         }
     }
@@ -142,6 +181,7 @@ pub fn mistakes_by_segment(mistakes: &[Mistake], segments: &[Segment]) -> Vec<u6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mk(start_ms: u64, end_ms: u64, after_seq: u64, censored: bool) -> Mistake {
         Mistake {
@@ -234,6 +274,128 @@ mod tests {
         let m = QosMetrics::from_mistakes(&[], Span::ZERO, 0.0, 0, Span::from_millis(100));
         assert_eq!(m.mistake_rate, 0.0);
         assert_eq!(m.query_accuracy, 1.0);
+    }
+
+    /// The formula as it stood before the totals were split out, kept
+    /// as the reference `from_totals` must reproduce to the bit.
+    fn reference(
+        mistakes: &[Mistake],
+        observed: Span,
+        sum_worst_td: f64,
+        fresh: u64,
+        interval: Span,
+    ) -> QosMetrics {
+        let observed_secs = observed.as_secs_f64();
+        let suspect: f64 = mistakes.iter().map(|m| m.duration().as_secs_f64()).sum();
+        let closed: Vec<&Mistake> = mistakes.iter().filter(|m| !m.censored).collect();
+        let avg_mistake_duration = if closed.is_empty() {
+            if mistakes.is_empty() {
+                0.0
+            } else {
+                suspect / mistakes.len() as f64
+            }
+        } else {
+            closed
+                .iter()
+                .map(|m| m.duration().as_secs_f64())
+                .sum::<f64>()
+                / closed.len() as f64
+        };
+        let worst = if fresh == 0 {
+            0.0
+        } else {
+            sum_worst_td / fresh as f64
+        };
+        QosMetrics {
+            detection_time: (worst - interval.as_secs_f64() / 2.0).max(0.0),
+            worst_detection_time: worst,
+            mistake_rate: if observed_secs > 0.0 {
+                mistakes.len() as f64 / observed_secs
+            } else {
+                0.0
+            },
+            avg_mistake_duration,
+            query_accuracy: if observed_secs > 0.0 {
+                (1.0 - suspect / observed_secs).clamp(0.0, 1.0)
+            } else {
+                1.0
+            },
+            mistakes: mistakes.len() as u64,
+            observed_secs,
+        }
+    }
+
+    /// Every field as raw bits, so `-0.0 != 0.0` and NaNs compare.
+    fn bits(m: &QosMetrics) -> [u64; 7] {
+        [
+            m.detection_time.to_bits(),
+            m.worst_detection_time.to_bits(),
+            m.mistake_rate.to_bits(),
+            m.avg_mistake_duration.to_bits(),
+            m.query_accuracy.to_bits(),
+            m.mistakes,
+            m.observed_secs.to_bits(),
+        ]
+    }
+
+    proptest! {
+        /// `from_mistakes` is `from_totals` over the log folded in
+        /// order, and both match the pre-split formula to the bit. The
+        /// log is empty, all censored, mixed or all closed by `shape`;
+        /// one case in four has a zero observation span.
+        #[test]
+        fn from_totals_is_from_mistakes_to_the_bit(
+            raw in prop::collection::vec((0u64..1 << 40, 0u64..1 << 37, 0u32..100), 0..40),
+            shape in 0u8..4,
+            observed_ns in 0u64..1 << 45,
+            zero_span in 0u8..4,
+            sum_worst_td in 0.0f64..1e6,
+            fresh in 0u64..1_000_000,
+            interval_ns in 1u64..10_000_000_000,
+        ) {
+            let mistakes: Vec<Mistake> = raw
+                .iter()
+                .take(if shape == 0 { 0 } else { raw.len() })
+                .enumerate()
+                .map(|(i, &(start, len, roll))| Mistake {
+                    start: Nanos(start),
+                    end: Nanos(start + len),
+                    after_seq: i as u64,
+                    censored: match shape {
+                        1 => true,
+                        2 => roll < 30,
+                        _ => false,
+                    },
+                })
+                .collect();
+            let observed = Span(if zero_span == 0 { 0 } else { observed_ns });
+            let interval = Span(interval_ns);
+
+            let (mut closed, mut closed_secs, mut suspect_secs) = (0u64, 0.0f64, 0.0f64);
+            for m in &mistakes {
+                let secs = m.duration().as_secs_f64();
+                suspect_secs += secs;
+                if !m.censored {
+                    closed += 1;
+                    closed_secs += secs;
+                }
+            }
+            let totals = QosMetrics::from_totals(
+                mistakes.len() as u64,
+                closed,
+                closed_secs,
+                suspect_secs,
+                observed,
+                sum_worst_td,
+                fresh,
+                interval,
+            );
+            let folded =
+                QosMetrics::from_mistakes(&mistakes, observed, sum_worst_td, fresh, interval);
+            let old = reference(&mistakes, observed, sum_worst_td, fresh, interval);
+            prop_assert_eq!(bits(&folded), bits(&totals));
+            prop_assert_eq!(bits(&folded), bits(&old));
+        }
     }
 
     #[test]

@@ -10,13 +10,28 @@
 //! [`QosTracker`] consumes exactly the inputs the sharded runtime
 //! already produces — per-heartbeat freshness [`Decision`]s and the
 //! Trust/Suspect [`StreamTransition`](twofd_core::StreamTransition)
-//! stream from the sweepers — and
-//! maintains a sliding window of mistake intervals and worst-case
-//! detection-time samples. [`QosTracker::metrics_at`] assembles those
-//! into the **same** [`QosMetrics`] struct the offline pipeline
-//! produces, by calling the same `from_mistakes` arithmetic; with the
-//! window covering the whole trace the two agree exactly (see
+//! stream from the sweepers — and keeps totals, never one sample per
+//! heartbeat. [`QosTracker::metrics_at`] hands them to
+//! [`QosMetrics::from_totals`], the one formula the offline
+//! `from_mistakes` folds its mistake log into, so both paths produce the
+//! **same** [`QosMetrics`] by the same arithmetic (see
 //! `tests/obs_differential.rs`).
+//!
+//! What a tracker holds does not grow with the heartbeats it sees:
+//!
+//! * A **cumulative** tracker (`window: Span::MAX`) keeps running
+//!   totals: the fresh count and Σ worst-`T_D` in arrival order, and the
+//!   closed mistakes' count and Σ duration. Its output is bit-identical
+//!   to folding a per-heartbeat sample log. Its only heap is the few
+//!   mistakes a relayed view (`adopt`) closes before the stream's first
+//!   heartbeat, which wait there to be clipped against that arrival.
+//! * A **sliding** tracker quantises its window to `B = 64` buckets of
+//!   width `w = ⌈window / 64⌉` on an absolute time grid: the window at
+//!   `now` is `[⌊(now − window) / w⌋·w, now]`, whole buckets, and
+//!   `observed_secs` reports that span. A fixed ring of `B + 1` buckets
+//!   holds each bucket's fresh count and Σ worst-`T_D` (1 056 heap
+//!   bytes); closed mistakes stay exact `(start, end)` pairs, pruned at
+//!   the window's start, so only the mistakes of one window are kept.
 //!
 //! Semantics deliberately shared with `twofd_core::replay::replay`:
 //!
@@ -34,7 +49,7 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use twofd_core::{Decision, FdOutput, Mistake, QosMetrics, QosSpec, TransitionKind};
+use twofd_core::{Decision, FdOutput, QosMetrics, QosSpec, TransitionKind};
 use twofd_sim::time::{Nanos, Span};
 
 /// How the tracker recovers a heartbeat's send instant `σ(j)` from its
@@ -71,8 +86,9 @@ pub struct QosTrackerConfig {
     /// for the half-interval crash-time correction.
     pub interval: Span,
     /// Sliding evaluation window. Estimates at instant `now` cover
-    /// `[now − window, now]`; use [`Span::MAX`] for a whole-trace
-    /// (cumulative) window.
+    /// `[now − window, now]`, its start rounded down to a multiple of
+    /// `⌈window / 64⌉`; use [`Span::MAX`] for a whole-trace (cumulative)
+    /// window.
     pub window: Span,
     /// How send instants are anchored (see [`QosOrigin`]).
     pub origin: QosOrigin,
@@ -163,6 +179,8 @@ pub struct QosVerdict {
 
 /// Judges `metrics` against `spec`, axis by axis.
 pub fn judge(spec: &QosSpec, metrics: &QosMetrics) -> QosVerdict {
+    // hotpath:allow(alloc) — per scrape, not per heartbeat, and an empty
+    // `Vec` allocates nothing: only a violated axis costs a push.
     let mut violated_axes = Vec::new();
     if metrics.detection_time > spec.detection_time {
         violated_axes.push(QosAxis::DetectionTime);
@@ -179,7 +197,116 @@ pub fn judge(spec: &QosSpec, metrics: &QosMetrics) -> QosVerdict {
     }
 }
 
-/// Online estimator of one stream's QoS metrics over a sliding window.
+/// Buckets per sliding window: the window's start is rounded down to a
+/// multiple of `⌈window / BUCKETS⌉`.
+const BUCKETS: u64 = 64;
+
+/// Ring slots of a sliding tracker. A window spans `BUCKETS` whole
+/// buckets plus the partial one `now` falls in.
+const SLOTS: usize = BUCKETS as usize + 1;
+
+/// The fresh heartbeats that arrived in one bucket of a sliding window.
+#[derive(Debug, Clone, Copy, Default)]
+struct Bucket {
+    fresh: u64,
+    /// Σ worst-case `T_D` samples, seconds, in arrival order.
+    sum_worst: f64,
+}
+
+/// A sliding tracker's detection-time samples, as per-bucket totals.
+///
+/// Slot `k mod SLOTS` holds bucket `k = ⌊arrival / width⌋` for every
+/// `k` in `[head − BUCKETS, head]`; no window that ends at or after the
+/// latest arrival reaches further back.
+#[derive(Debug)]
+struct Ring {
+    /// Bucket width `⌈window / BUCKETS⌉`, nanoseconds (at least 1).
+    width: u64,
+    /// Index of the newest bucket a heartbeat landed in.
+    head: u64,
+    slots: [Bucket; SLOTS],
+}
+
+impl Ring {
+    fn new(window: Span) -> Ring {
+        Ring {
+            width: window.0.div_ceil(BUCKETS).max(1),
+            head: 0,
+            slots: [Bucket::default(); SLOTS],
+        }
+    }
+
+    fn slot(&mut self, bucket: u64) -> &mut Bucket {
+        &mut self.slots[(bucket % SLOTS as u64) as usize]
+    }
+
+    /// Start of the window ending at `now`: `⌊(now − window) / width⌋·width`.
+    fn window_start(&self, window: Span, now: Nanos) -> Nanos {
+        Nanos(now.0.saturating_sub(window.0) / self.width * self.width)
+    }
+
+    fn add(&mut self, arrival: Nanos, worst: f64) {
+        let k = arrival.0 / self.width;
+        if k > self.head {
+            // The buckets the ring moves onto still hold data from a
+            // lap ago: clear them (all of them after a long silence).
+            for stale in (k - (k - self.head).min(SLOTS as u64) + 1)..=k {
+                *self.slot(stale) = Bucket::default();
+            }
+            self.head = k;
+        } else if self.head - k > BUCKETS {
+            // Older than any window the tracker can still be asked for.
+            return;
+        }
+        let bucket = self.slot(k);
+        bucket.fresh += 1;
+        bucket.sum_worst += worst;
+    }
+
+    /// `(fresh, Σ worst)` of every bucket from `first` on, oldest first.
+    fn totals_since(&self, first: u64) -> (u64, f64) {
+        let lo = first.max(self.head.saturating_sub(BUCKETS));
+        (lo..=self.head).fold((0, 0.0), |(fresh, sum), k| {
+            let b = &self.slots[(k % SLOTS as u64) as usize];
+            (fresh + b.fresh, sum + b.sum_worst)
+        })
+    }
+}
+
+/// Count and Σ duration of closed mistakes, already clipped.
+#[derive(Debug, Clone, Copy, Default)]
+struct Closed {
+    count: u64,
+    secs: f64,
+}
+
+impl Closed {
+    /// Adds the mistake `[start, end)` if it is not empty.
+    fn add(&mut self, start: Nanos, end: Nanos) {
+        if start < end {
+            self.count += 1;
+            self.secs += end.saturating_since(start).as_secs_f64();
+        }
+    }
+}
+
+/// Where a tracker keeps its detection-time samples and closed
+/// mistakes: running totals for a cumulative window, buckets for a
+/// sliding one.
+#[derive(Debug)]
+enum Samples {
+    Cumulative {
+        fresh: u64,
+        /// Σ worst-case `T_D`, seconds, in arrival order.
+        sum_worst: f64,
+        /// Closed mistakes, clipped to the first arrival.
+        closed: Closed,
+    },
+    Sliding(Box<Ring>),
+}
+
+/// Online estimator of one stream's QoS metrics over a cumulative or
+/// sliding window, in constant space per heartbeat.
 ///
 /// Feed it every processed heartbeat ([`QosTracker::on_heartbeat`]) and
 /// every published transition ([`QosTracker::on_transition`]), then ask
@@ -193,14 +320,13 @@ pub struct QosTracker {
     /// First heartbeat arrival — observation starts here, like the
     /// replay pipeline's `start = first arrival`.
     first_arrival: Option<Nanos>,
-    /// Latest fresh arrival — what `on_heartbeat` has pruned against,
-    /// and therefore the earliest instant an evaluation can be "as of".
-    latest_arrival: Nanos,
-    /// `(arrival, worst_td_secs)` per fresh heartbeat, pruned to the
-    /// window.
-    td_samples: VecDeque<(Nanos, f64)>,
-    /// Closed mistakes `(start, end)`, pruned once they fall wholly
-    /// before the window.
+    /// The latest instant the tracker was fed, arrival or transition —
+    /// the earliest instant an evaluation can be "as of".
+    latest: Nanos,
+    samples: Samples,
+    /// Closed mistakes `(start, end)` not folded into totals: a sliding
+    /// tracker's, pruned once they end before the window; a cumulative
+    /// tracker's that closed before its first heartbeat.
     closed: VecDeque<(Nanos, Nanos)>,
     /// S-transition instant of the currently open mistake, if any.
     open_since: Option<Nanos>,
@@ -219,24 +345,33 @@ pub struct QosTracker {
     /// only); signed because a fast sender clock puts arrivals before
     /// the nominal schedule.
     origin_offset: Option<i128>,
-    fresh: u64,
 }
 
 impl QosTracker {
     /// Creates an empty tracker.
     pub fn new(config: QosTrackerConfig) -> Self {
+        let samples = if config.window == Span::MAX {
+            Samples::Cumulative {
+                fresh: 0,
+                sum_worst: 0.0,
+                closed: Closed::default(),
+            }
+        } else {
+            // hotpath:allow(alloc) — once per tracker, when its stream
+            // is first seen; the ring is never resized.
+            Samples::Sliding(Box::new(Ring::new(config.window)))
+        };
         QosTracker {
             config,
             first_arrival: None,
-            latest_arrival: Nanos::ZERO,
-            td_samples: VecDeque::new(),
+            latest: Nanos::ZERO,
+            samples,
             closed: VecDeque::new(),
             open_since: None,
             ever_trusted: false,
             last_decision: None,
             last_seq: None,
             origin_offset: None,
-            fresh: 0,
         }
     }
 
@@ -248,8 +383,17 @@ impl QosTracker {
     /// Records one processed heartbeat: its sequence number, arrival
     /// instant, and the freshness decision (if it was fresh).
     pub fn on_heartbeat(&mut self, seq: u64, arrival: Nanos, decision: Option<Decision>) {
+        self.latest = self.latest.max(arrival);
         if self.first_arrival.is_none() {
             self.first_arrival = Some(arrival);
+            if let Samples::Cumulative { closed, .. } = &mut self.samples {
+                // Mistakes a relayed view closed before this stream was
+                // heard from count from its first arrival on, like any
+                // other; from here on the totals take them directly.
+                for (start, end) in std::mem::take(&mut self.closed) {
+                    closed.add(start.max(arrival), end);
+                }
+            }
         }
         let Some(d) = decision else { return };
         // A *fresh* decision at or below the largest seen sequence
@@ -260,7 +404,6 @@ impl QosTracker {
             self.origin_offset = None;
         }
         self.last_seq = Some(seq);
-        self.fresh += 1;
         self.last_decision = Some(d);
         // Worst-case detection time sample: trust_until − σ(seq). Under
         // `Nominal`, σ(seq) = seq·Δi (the trace builders' convention,
@@ -281,13 +424,21 @@ impl QosTracker {
                 (i128::from(d.trust_until.0) - send).max(0) as f64 / 1e9
             }
         };
-        self.td_samples.push_back((arrival, worst));
-        // Age the window out here too, not only when scraped, or a
-        // tracker nobody scrapes keeps every sample it ever saw. No
-        // later evaluation can want what this drops: `metrics_at` never
-        // evaluates as of an instant before the latest arrival.
-        self.latest_arrival = self.latest_arrival.max(arrival);
-        self.prune(self.window_start(self.latest_arrival));
+        match &mut self.samples {
+            Samples::Cumulative {
+                fresh, sum_worst, ..
+            } => {
+                *fresh += 1;
+                *sum_worst += worst;
+            }
+            Samples::Sliding(ring) => {
+                ring.add(arrival, worst);
+                // Age the mistakes out here too, not only when scraped,
+                // or a tracker nobody scrapes keeps every one it saw.
+                let start = ring.window_start(self.config.window, self.latest);
+                prune(&mut self.closed, start);
+            }
+        }
         // Replay convention: if the very first heartbeat arrives with
         // its freshness point already in the past, the stream is
         // suspected from that first arrival (never from time zero).
@@ -321,6 +472,7 @@ impl QosTracker {
     /// right to suspect (Reis & Vieira's accounting; a plain `Trust`
     /// close still records the span as a false suspicion).
     pub fn on_transition_kind(&mut self, kind: TransitionKind, at: Nanos) {
+        self.latest = self.latest.max(at);
         match kind {
             TransitionKind::Suspect => {
                 if self.open_since.is_none() {
@@ -330,8 +482,12 @@ impl QosTracker {
             TransitionKind::Trust => {
                 self.ever_trusted = true;
                 if let Some(start) = self.open_since.take() {
-                    if start < at {
-                        self.closed.push_back((start, at));
+                    match (&mut self.samples, self.first_arrival) {
+                        (Samples::Cumulative { closed, .. }, Some(first)) => {
+                            closed.add(start.max(first), at);
+                        }
+                        _ if start < at => self.closed.push_back((start, at)),
+                        _ => {}
                     }
                 }
             }
@@ -350,37 +506,41 @@ impl QosTracker {
 
     /// The windowed QoS estimates as of `now` — the same
     /// [`QosMetrics`] struct (and the same arithmetic) as the offline
-    /// pipeline. Prunes state older than the window as a side effect.
-    /// A `now` behind the latest heartbeat's arrival (a caller whose
-    /// clock lags the one the arrivals were stamped on) is taken as
-    /// that arrival: the tracker has already aged its window up to
+    /// pipeline, in time independent of the heartbeats seen: a
+    /// cumulative tracker reads its totals, a sliding one folds its
+    /// `B + 1` buckets and the mistakes of one window. Prunes mistakes
+    /// older than the window as a side effect. A `now` behind the
+    /// latest instant the tracker was fed (a caller whose clock lags
+    /// the one the arrivals and transitions were stamped on) is taken
+    /// as that instant: the tracker has already aged its window up to
     /// there, scraped or not.
     pub fn metrics_at(&mut self, now: Nanos) -> QosMetrics {
+        let interval = self.config.interval;
         let Some(first) = self.first_arrival else {
-            return QosMetrics::from_mistakes(&[], Span::ZERO, 0.0, 0, self.config.interval);
+            return QosMetrics::from_totals(0, 0, 0.0, 0.0, Span::ZERO, 0.0, 0, interval);
         };
-        let now = now.max(self.latest_arrival);
-        let window_start = self.window_start(now);
-        self.prune(window_start);
-
-        let start = first.max(window_start);
-        let observed = now.saturating_since(start);
-
-        let mut mistakes: Vec<Mistake> = Vec::with_capacity(self.closed.len() + 1);
-        for &(s, e) in &self.closed {
-            // Clip to the window; a partially-covered mistake still
-            // counts, over its in-window portion.
-            let cs = s.max(start);
-            let ce = e.min(now);
-            if cs < ce {
-                mistakes.push(Mistake {
-                    start: cs,
-                    end: ce,
-                    after_seq: 0,
-                    censored: false,
-                });
+        let now = now.max(self.latest);
+        let (start, fresh, sum_worst, closed) = match &self.samples {
+            Samples::Cumulative {
+                fresh,
+                sum_worst,
+                closed,
+            } => (first, *fresh, *sum_worst, *closed),
+            Samples::Sliding(ring) => {
+                let window_start = ring.window_start(self.config.window, now);
+                prune(&mut self.closed, window_start);
+                let start = first.max(window_start);
+                // Every closed mistake ended at or before `latest`, so
+                // only its start needs clipping to the window.
+                let mut closed = Closed::default();
+                for &(s, e) in &self.closed {
+                    closed.add(s.max(start), e);
+                }
+                let (fresh, sum_worst) = ring.totals_since(window_start.0 / ring.width);
+                (start, fresh, sum_worst, closed)
             }
-        }
+        };
+
         // The open mistake (sweeper already fired S) — censored at now.
         let mut open = self.open_since;
         // The not-yet-swept tail: the last freshness point may already
@@ -394,26 +554,25 @@ impl QosTracker {
                 }
             }
         }
+        let (mut mistakes, mut suspect_secs) = (closed.count, closed.secs);
         if let Some(s) = open {
             let cs = s.max(start);
             if cs < now {
-                mistakes.push(Mistake {
-                    start: cs,
-                    end: now,
-                    after_seq: 0,
-                    censored: true,
-                });
+                mistakes += 1;
+                suspect_secs += now.saturating_since(cs).as_secs_f64();
             }
         }
-        mistakes.sort_by_key(|m| m.start);
 
-        let (fresh, sum_worst) = self
-            .td_samples
-            .iter()
-            .filter(|(at, _)| *at >= start)
-            .fold((0u64, 0.0f64), |(n, s), (_, w)| (n + 1, s + w));
-
-        QosMetrics::from_mistakes(&mistakes, observed, sum_worst, fresh, self.config.interval)
+        QosMetrics::from_totals(
+            mistakes,
+            closed.count,
+            closed.secs,
+            suspect_secs,
+            now.saturating_since(start),
+            sum_worst,
+            fresh,
+            interval,
+        )
     }
 
     /// The verdict against the configured spec as of `now`. Without a
@@ -422,6 +581,7 @@ impl QosTracker {
         match self.config.spec {
             None => QosVerdict {
                 met: true,
+                // hotpath:allow(alloc) — an empty `Vec` allocates nothing.
                 violated_axes: Vec::new(),
             },
             Some(spec) => {
@@ -430,28 +590,12 @@ impl QosTracker {
             }
         }
     }
+}
 
-    /// Start of the evaluation window ending at `now` (time zero for a
-    /// cumulative tracker, which therefore never prunes).
-    fn window_start(&self, now: Nanos) -> Nanos {
-        Nanos(now.0.saturating_sub(self.config.window.0))
-    }
-
-    fn prune(&mut self, window_start: Nanos) {
-        while let Some(&(at, _)) = self.td_samples.front() {
-            if at < window_start {
-                self.td_samples.pop_front();
-            } else {
-                break;
-            }
-        }
-        while let Some(&(_, end)) = self.closed.front() {
-            if end <= window_start {
-                self.closed.pop_front();
-            } else {
-                break;
-            }
-        }
+/// Drops the closed mistakes that end at or before `window_start`.
+fn prune(closed: &mut VecDeque<(Nanos, Nanos)>, window_start: Nanos) {
+    while closed.front().is_some_and(|&(_, end)| end <= window_start) {
+        closed.pop_front();
     }
 }
 
@@ -544,6 +688,14 @@ mod tests {
         assert!((m.query_accuracy - 1.0).abs() < 1e-12);
     }
 
+    /// Heartbeats a sliding tracker's ring holds, over all its slots.
+    fn ring_beats(t: &QosTracker) -> u64 {
+        match &t.samples {
+            Samples::Sliding(ring) => ring.slots.iter().map(|b| b.fresh).sum(),
+            Samples::Cumulative { .. } => panic!("not a sliding tracker"),
+        }
+    }
+
     #[test]
     fn unscraped_sliding_tracker_stays_bounded() {
         let window = 10u64; // in heartbeat intervals
@@ -565,14 +717,37 @@ mod tests {
                 Nanos(seq * SEC),
                 decision(Nanos(seq * SEC + 3 * SEC / 2)),
             );
-            // window ÷ Δi, plus the sample sitting on the window's edge.
-            assert!(t.td_samples.len() as u64 <= window + 1, "seq {seq}");
+            // The ring spans the window plus one bucket, 10.16 s: never
+            // more than that many heartbeats, however long the run.
+            assert!(ring_beats(&t) <= window + 1, "seq {seq}");
         }
         assert!(t.closed.is_empty(), "the aged-out mistake was kept");
         // What is left is exactly what a scrape would have kept.
         let m = t.metrics_at(Nanos(4_999 * SEC + SEC / 4));
         assert_eq!(m.mistakes, 0);
         assert!((m.worst_detection_time - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn sliding_window_starts_on_a_bucket_boundary() {
+        // 6.4 s window → 100 ms buckets.
+        let mut t = QosTracker::new(QosTrackerConfig {
+            spec: None,
+            interval: Span(SEC / 10),
+            window: Span(64 * SEC / 10),
+            origin: QosOrigin::Nominal,
+        });
+        for seq in 0..200u64 {
+            let arrival = Nanos(seq * SEC / 10 + SEC / 100);
+            t.on_heartbeat(seq, arrival, decision(Nanos(arrival.0 + SEC / 5)));
+        }
+        // now − window = 13.55 s rounds down to 13.5 s: the window holds
+        // the arrivals at 13.51 s … 19.91 s, 65 of them, over 6.45 s.
+        let m = t.metrics_at(Nanos(19_950_000_000));
+        assert!((m.observed_secs - 6.45).abs() < 1e-12, "{m:?}");
+        assert_eq!(ring_beats(&t), 65);
+        // Every sample reads trust_until − σ = 0.21 s.
+        assert!((m.worst_detection_time - 0.21).abs() < 1e-12, "{m:?}");
     }
 
     #[test]
@@ -595,7 +770,8 @@ mod tests {
         // a half-pruned one.
         let lagging = t.metrics_at(Nanos(5 * SEC));
         assert_eq!(lagging, t.metrics_at(Nanos(29 * SEC)));
-        assert!((lagging.observed_secs - 10.0).abs() < 1e-12);
+        // 29 s − 10 s rounds down to a 156.25 ms bucket boundary.
+        assert!((lagging.observed_secs - (29.0 - 121.0 * 0.156_25)).abs() < 1e-12);
     }
 
     #[test]

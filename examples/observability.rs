@@ -17,6 +17,14 @@
 //! crashed stream flip: the silence becomes a (censored) suspicion
 //! period that blows through the contract's mistake-recurrence bound.
 //!
+//! The trackers here are cumulative (`QosTrackerConfig::cumulative`):
+//! each keeps running totals in its 240 inline bytes, whatever the run's
+//! length. A sliding window (`window: Span::from_secs(60)`, say) adds a
+//! 1 056-byte ring of 64 buckets of `⌈window / 64⌉`, and rounds its
+//! window's start down to a bucket boundary. Either way the estimates
+//! come out of `QosMetrics::from_totals`, the formula the offline replay
+//! uses.
+//!
 //! Run: `cargo run --release --example observability`
 
 use std::io::{Read, Write};

@@ -11,8 +11,11 @@
 //!
 //! A sliding-window tracker ages its state out on every heartbeat, not
 //! only when something scrapes it; the second test holds that to the
-//! same oracle restricted to the last window, whether or not the
-//! tracker was scraped along the way.
+//! same oracle restricted to the window ending at each of several
+//! evaluation instants, whether or not the tracker was scraped along
+//! the way. The tracker quantises its window's start to a multiple of
+//! `⌈window / 64⌉`, and so does the oracle; most of the instants fall
+//! between those bucket boundaries.
 //!
 //! The trackers live under the shard's one lock, next to the detectors
 //! that feed them, so a caller-side `sweep_now` racing the worker cannot
@@ -57,6 +60,24 @@ fn online_metrics(
     scrape_every: Option<usize>,
     concurrent_sweeper: bool,
 ) -> QosMetrics {
+    online_metrics_at(
+        trace,
+        tracker,
+        scrape_every,
+        concurrent_sweeper,
+        trace.end_time(),
+    )
+}
+
+/// [`online_metrics`] as of `at`: only the arrivals up to `at` are fed,
+/// and the snapshot is taken with the clock at `at`.
+fn online_metrics_at(
+    trace: &Trace,
+    tracker: QosTrackerConfig,
+    scrape_every: Option<usize>,
+    concurrent_sweeper: bool,
+    at: Nanos,
+) -> QosMetrics {
     let clock = Arc::new(ManualClock::new());
     let rt = ShardRuntime::new(
         ShardConfig {
@@ -86,7 +107,8 @@ fn online_metrics(
             });
             started_rx.recv().expect("sweeper started");
         }
-        for (i, a) in trace.arrivals().into_iter().enumerate() {
+        let arrivals = trace.arrivals().into_iter().take_while(|a| a.at <= at);
+        for (i, a) in arrivals.enumerate() {
             clock.advance_to(a.at);
             rt.ingest_batch(&[(9, a.seq, a.at, 0)]);
             if scrape_every.is_some_and(|every| i % every == every - 1) {
@@ -97,32 +119,43 @@ fn online_metrics(
         rt.flush();
         feeding.store(false, Ordering::SeqCst);
     });
-    clock.advance_to(trace.end_time());
+    clock.advance_to(at);
     rt.qos_metrics(9).expect("stream 9 is tracked")
 }
 
-/// The offline pipeline's numbers for the last `window` of `trace`: the
-/// replay's mistakes clipped to `[horizon − window, horizon]` and the
-/// detection-time samples of the heartbeats that arrived inside it.
-fn offline_window_metrics(trace: &Trace, window: Span) -> QosMetrics {
+/// Width of a sliding tracker's buckets: its window's start is a
+/// multiple of `⌈window / 64⌉`.
+fn bucket_width(window: Span) -> u64 {
+    window.0.div_ceil(64)
+}
+
+/// The offline pipeline's numbers for the window of `trace` ending at
+/// `at`: the replay's timeline cut at `at` (a mistake still open there
+/// is censored), its mistakes clipped to `[start, at]`, and the
+/// detection-time samples of the heartbeats that arrived inside it. The
+/// window starts at `⌊(at − window) / w⌋·w` for the tracker's bucket
+/// width `w`, or at the first arrival if that is later.
+fn offline_window_metrics(trace: &Trace, window: Span, at: Nanos) -> QosMetrics {
     let whole = replay(&mut detector_config(trace.interval).build(), trace);
-    let end = whole.horizon;
+    let w = bucket_width(window);
     let start = whole
         .first_arrival
-        .max(Nanos(end.0.saturating_sub(window.0)));
+        .max(Nanos(at.0.saturating_sub(window.0) / w * w));
     let mistakes: Vec<Mistake> = whole
         .mistakes
         .iter()
+        .filter(|m| m.start < at)
         .map(|m| Mistake {
             start: m.start.max(start),
-            end: m.end.min(end),
+            end: m.end.min(at),
+            censored: m.censored || m.end > at,
             ..*m
         })
         .filter(|m| m.start < m.end)
         .collect();
     let mut fd = detector_config(trace.interval).build();
     let (mut fresh, mut sum_worst_td) = (0u64, 0.0f64);
-    for a in trace.arrivals() {
+    for a in trace.arrivals().into_iter().take_while(|a| a.at <= at) {
         match fd.on_heartbeat(a.seq, a.at) {
             Some(d) if a.at >= start => {
                 fresh += 1;
@@ -133,7 +166,7 @@ fn offline_window_metrics(trace: &Trace, window: Span) -> QosMetrics {
     }
     QosMetrics::from_mistakes(
         &mistakes,
-        end.saturating_since(start),
+        at.saturating_since(start),
         sum_worst_td,
         fresh,
         trace.interval,
@@ -188,6 +221,7 @@ fn online_tracker_matches_offline_replay_metrics() {
 #[test]
 fn sliding_window_tracker_matches_the_offline_window_scraped_or_not() {
     let mut saw_mistakes = false;
+    let mut off_boundary = 0;
     for seed in [3u64, 17, 40, 71, 104] {
         let trace = WanTraceConfig::small(400, seed).generate();
         // A quarter of the trace: most of what the tracker saw has to
@@ -197,45 +231,62 @@ fn sliding_window_tracker_matches_the_offline_window_scraped_or_not() {
             window,
             ..QosTrackerConfig::cumulative(trace.interval)
         };
+        // The horizon, and four instants in the last stretch of the
+        // trace: one whose window starts on a bucket boundary, three
+        // whose windows start a third, a half and all but 1 ns of a
+        // bucket past one.
+        let w = bucket_width(window);
+        let end = trace.end_time();
+        let mut instants = vec![end];
+        for (back, offset) in [(9u64, 0u64), (23, w / 3), (41, w / 2), (60, w - 1)] {
+            instants.push(Nanos((end.0 / w - back) * w + window.0 % w + offset));
+        }
 
-        let offline = offline_window_metrics(&trace, window);
-        saw_mistakes |= offline.mistakes > 0;
+        for at in instants {
+            off_boundary += usize::from(at.0.saturating_sub(window.0) % w != 0);
+            let offline = offline_window_metrics(&trace, window, at);
+            saw_mistakes |= offline.mistakes > 0;
 
-        let unscraped = online_metrics(&trace, tracker, None, false);
-        let scraped = online_metrics(&trace, tracker, Some(7), false);
-        assert_eq!(
-            scraped, unscraped,
-            "seed {seed}: scraping along the way changed the final window"
-        );
+            let unscraped = online_metrics_at(&trace, tracker, None, false, at);
+            let scraped = online_metrics_at(&trace, tracker, Some(7), false, at);
+            assert_eq!(
+                scraped, unscraped,
+                "seed {seed} at {at:?}: scraping along the way changed the window"
+            );
 
-        assert_eq!(
-            unscraped.mistakes, offline.mistakes,
-            "seed {seed}: mistake counts diverged"
-        );
-        assert_close(
-            "T_D",
-            unscraped.detection_time,
-            offline.detection_time,
-            seed,
-        );
-        assert_close("λ_M", unscraped.mistake_rate, offline.mistake_rate, seed);
-        assert_close(
-            "T_M",
-            unscraped.avg_mistake_duration,
-            offline.avg_mistake_duration,
-            seed,
-        );
-        assert_close(
-            "P_A",
-            unscraped.query_accuracy,
-            offline.query_accuracy,
-            seed,
-        );
-        assert_close("span", unscraped.observed_secs, offline.observed_secs, seed);
+            assert_eq!(
+                unscraped.mistakes, offline.mistakes,
+                "seed {seed} at {at:?}: mistake counts diverged"
+            );
+            assert_close(
+                "T_D",
+                unscraped.detection_time,
+                offline.detection_time,
+                seed,
+            );
+            assert_close("λ_M", unscraped.mistake_rate, offline.mistake_rate, seed);
+            assert_close(
+                "T_M",
+                unscraped.avg_mistake_duration,
+                offline.avg_mistake_duration,
+                seed,
+            );
+            assert_close(
+                "P_A",
+                unscraped.query_accuracy,
+                offline.query_accuracy,
+                seed,
+            );
+            assert_close("span", unscraped.observed_secs, offline.observed_secs, seed);
+        }
     }
     assert!(
         saw_mistakes,
-        "no seed had a mistake in its last window; the clipping paths never ran"
+        "no seed had a mistake in its window; the clipping paths never ran"
+    );
+    assert!(
+        off_boundary >= 15,
+        "only {off_boundary} instants fell between bucket boundaries"
     );
 }
 
