@@ -19,9 +19,9 @@
 //!
 //! The boxed-vs-inline section runs the *same* single-threaded
 //! `ProcessSet` workload twice: once with detectors stored as
-//! `Box<dyn FailureDetector + Send>` behind the `SharedFactory` compat
-//! builder (per-stream heap allocation + vtable per call, the pre-spec
-//! storage), once stored inline as `AnyDetector` via `DetectorConfig`
+//! `Box<dyn FailureDetector + Send>` built by a closure (per-stream heap
+//! allocation + vtable per call, the pre-spec storage), once stored
+//! inline as `AnyDetector` via `DetectorConfig`
 //! (match dispatch, contiguous entries). Single-threaded on purpose:
 //! it isolates dispatch/allocation cost from scheduling noise.
 //!
@@ -46,12 +46,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use twofd_bench::samples_from_env;
 use twofd_core::{
-    DetectorBuilder, DetectorConfig, DetectorSpec, FailureDetector, ProcessSet, SharedFactory,
-    TwoWindowFd,
+    DetectorBuilder, DetectorConfig, DetectorSpec, FailureDetector, ProcessSet, TwoWindowFd,
 };
 use twofd_net::{
-    FleetMonitor, Heartbeat, IntakeMode, Job, ManualClock, ObsOptions, ShardConfig, ShardRuntime,
-    TimeSource, WIRE_SIZE,
+    FleetMonitor, Heartbeat, Job, ManualClock, ObsOptions, ShardConfig, ShardRuntime, TimeSource,
+    WIRE_SIZE,
 };
 use twofd_obs::{QosPlan, QosTrackerConfig};
 use twofd_sim::time::{Nanos, Span};
@@ -87,13 +86,10 @@ fn inline_config() -> DetectorConfig {
     DetectorConfig::new(DetectorSpec::TwoWindow { n1: 1, n2: 100 }, INTERVAL, 0.04)
 }
 
-/// The pre-spec storage: the same detector boxed behind the type-erased
-/// compat builder, exactly as the runtime used to hold it.
-fn boxed_builder() -> SharedFactory<u64> {
-    Arc::new(|_stream: &u64| {
-        Box::new(TwoWindowFd::new(1, 100, INTERVAL, Span::from_millis(40)))
-            as Box<dyn FailureDetector + Send>
-    })
+/// The pre-spec storage: the same detector boxed by a closure, exactly
+/// as the runtime used to hold it.
+fn boxed_builder() -> impl Fn(&u64) -> Box<dyn FailureDetector + Send> {
+    |_stream| Box::new(TwoWindowFd::new(1, 100, INTERVAL, Span::from_millis(40)))
 }
 
 /// Round-robin heartbeat schedule: every stream beats once per interval.
@@ -431,36 +427,21 @@ fn main() {
         println!("{n_shards} shard(s): batch-64 {batched:>12.0} hb/s");
     }
 
-    // The number the batching work exists for: observed intake on the
-    // real loopback UDP path, seed per-datagram loop vs recvmmsg batch
-    // intake, same blast.
+    // Observed intake on the real loopback UDP path: the recvmmsg
+    // batch intake against a sendmmsg blast.
     let udp_total = if quick() { 20_000 } else { 400_000 };
     println!("\n# live UDP intake ({udp_total} datagrams blasted at {streams} streams)");
-    let mut udp_rates = [0.0f64; 2];
-    for (slot, (label, mode)) in [
-        ("per-datagram", IntakeMode::PerDatagram),
-        ("batched     ", IntakeMode::Batched),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let mut best = (0.0f64, 0.0f64);
-        for _ in 0..reps() {
-            let (r, loss) = udp_blast(udp_total, streams, mode);
-            if r > best.0 {
-                best = (r, loss);
-            }
+    let mut best = (0.0f64, 0.0f64);
+    for _ in 0..reps() {
+        let (r, loss) = udp_blast(udp_total, streams);
+        if r > best.0 {
+            best = (r, loss);
         }
-        udp_rates[slot] = best.0;
-        println!(
-            "{label}: observed intake {:>12.0} hb/s ({:>5.1}% of blast survived the socket buffer)",
-            best.0,
-            best.1 * 100.0,
-        );
     }
     println!(
-        "batched / per-datagram: {:.2}x",
-        udp_rates[1] / udp_rates[0]
+        "batched: observed intake {:>12.0} hb/s ({:>5.1}% of blast survived the socket buffer)",
+        best.0,
+        best.1 * 100.0,
     );
     println!(
         "# intake = socket-thread handoff rate (what bounds UDP intake);\n\
@@ -595,23 +576,19 @@ fn write_scaling_json(cells: &[ScalingCell]) -> std::io::Result<std::path::PathB
 /// rate divides *received* heartbeats by the time from first send to the
 /// last observed intake growth, so a slow intake that loses half the
 /// blast cannot score by draining a small survivor set quickly.
-fn udp_blast(total: u64, streams: u64, mode: IntakeMode) -> (f64, f64) {
-    let monitor = FleetMonitor::spawn_with_intake(
-        ShardConfig {
-            detector: inline_config().into(),
-            queue_capacity: 1 << 15,
-            ..ShardConfig::default()
-        },
-        mode,
-    )
+fn udp_blast(total: u64, streams: u64) -> (f64, f64) {
+    let monitor = FleetMonitor::spawn_with(ShardConfig {
+        detector: inline_config().into(),
+        queue_capacity: 1 << 15,
+        ..ShardConfig::default()
+    })
     .expect("bind fleet monitor");
     let sock = std::net::UdpSocket::bind(("127.0.0.1", 0)).expect("bind blaster");
     sock.connect(monitor.local_addr()).expect("connect");
 
     // Blast via sendmmsg so the (single-core) sender costs as few time
     // slices as possible: the measurement is the monitor's intake, and a
-    // syscall-per-datagram blaster would throttle both modes equally and
-    // mask the receive-path difference.
+    // syscall-per-datagram blaster would throttle it.
     let t0 = Instant::now();
     let mut arena = [[0u8; WIRE_SIZE]; 64];
     let mut sent = 0u64;
@@ -656,7 +633,7 @@ fn udp_blast(total: u64, streams: u64, mode: IntakeMode) -> (f64, f64) {
     assert_eq!(
         stats.received(),
         stats.applied() + stats.dropped(),
-        "UDP-path accounting must reconcile ({mode:?})"
+        "UDP-path accounting must reconcile"
     );
     let elapsed = last_growth.duration_since(t0);
     (

@@ -62,9 +62,7 @@ pub use ed::{EdConfig, EdFd};
 pub use estimator::ChenEstimator;
 pub use impact::ImpactFd;
 pub use metrics::{mistakes_by_segment, Mistake, QosMetrics};
-pub use multi::{
-    DetectorBuilder, ProcessSet, ProcessStatus, SharedFactory, StreamTransition, TransitionKind,
-};
+pub use multi::{DetectorBuilder, ProcessSet, ProcessStatus, StreamTransition, TransitionKind};
 pub use netest::NetworkEstimator;
 pub use phi::{PhiAccrualFd, PhiConfig};
 pub use qos::{configure, recurrence_lower_bound, ConfigError, FdConfig, NetworkBehavior, QosSpec};

@@ -14,13 +14,12 @@
 //! * **P_A** — query accuracy probability: fraction of time the output
 //!   is correct (`Trust`, since `p` is alive throughout).
 
-use serde::{Deserialize, Serialize};
 use twofd_sim::time::{Nanos, Span};
 
 use crate::Segment;
 
 /// One suspicion period of a detector monitoring a live process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mistake {
     /// The S-transition instant.
     pub start: Nanos,
@@ -42,7 +41,7 @@ impl Mistake {
 }
 
 /// Aggregated QoS metrics of one replay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QosMetrics {
     /// Average-case detection time T_D, seconds (crash uniformly within
     /// an inter-send interval).

@@ -63,16 +63,15 @@ use crate::slab::{HotSlot, StreamSlab};
 use crate::suite::{AnyDetector, DetectorConfig};
 use crate::wheel::{TimingWheel, WheelEntry};
 use std::hash::Hash;
-use std::sync::Arc;
 use twofd_sim::time::Nanos;
 
 /// Builds the failure detector for a newly seen process.
 ///
 /// Implemented for `Fn(&K) -> D` closures (for any detector type `D`,
-/// boxed or inline), for `Arc`-wrapped factories so one factory can be
-/// shared across the shards of a partitioned monitor without a global
-/// lock, and for [`DetectorConfig`] — the spec-based constructor that
-/// gives every process the same inline [`AnyDetector`].
+/// boxed or inline) and for [`DetectorConfig`] — the spec-based
+/// constructor that gives every process the same inline
+/// [`AnyDetector`]. A detector outside the paper's suite plugs in as a
+/// closure returning `Box<dyn FailureDetector + Send>`.
 pub trait DetectorBuilder<K> {
     /// The concrete detector type constructed, stored inline in the
     /// process table.
@@ -91,20 +90,6 @@ where
 
     fn build(&self, key: &K) -> D {
         self(key)
-    }
-}
-
-/// An `Arc`-shared type-erased detector factory: compatibility surface
-/// for detector implementations outside the paper's suite. Spec-driven
-/// callers should prefer [`DetectorConfig`] (or the fleet runtime's
-/// plan), which build inline and allocation-free.
-pub type SharedFactory<K> = Arc<dyn Fn(&K) -> Box<dyn FailureDetector + Send> + Send + Sync>;
-
-impl<K> DetectorBuilder<K> for SharedFactory<K> {
-    type Detector = Box<dyn FailureDetector + Send>;
-
-    fn build(&self, key: &K) -> Box<dyn FailureDetector + Send> {
-        (self)(key)
     }
 }
 
@@ -628,17 +613,6 @@ mod tests {
         // Stale for a, fresh for b.
         assert!(beat(&mut s, "a", 4, hb(5)).is_none());
         assert!(beat(&mut s, "b", 4, hb(5)).is_some());
-    }
-
-    #[test]
-    fn arc_factories_build_detectors() {
-        let factory: SharedFactory<u64> = Arc::new(|_k: &u64| {
-            Box::new(TwoWindowFd::new(1, 100, DI, Span::from_millis(40)))
-                as Box<dyn FailureDetector + Send>
-        });
-        let mut s = ProcessSet::new(factory);
-        beat(&mut s, 7u64, 1, hb(1));
-        assert_eq!(s.len(), 1);
     }
 
     #[test]

@@ -27,13 +27,12 @@
 //!   finds the largest `Δi ≤ Δi_max` with `f(Δi) ≥ T_MRᵁ` numerically.
 //! * **Step 3** — `Δto = T_Dᵁ − Δi`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use twofd_sim::time::Span;
 use twofd_trace::{Trace, TraceStats};
 
 /// An application's QoS requirement tuple `(T_Dᵁ, T_MRᵁ, T_Mᵁ)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QosSpec {
     /// Upper bound on detection time `T_Dᵁ`, seconds.
     pub detection_time: f64,
@@ -64,7 +63,7 @@ impl QosSpec {
 }
 
 /// The network's probabilistic behaviour as seen by the detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkBehavior {
     /// Message loss probability `pL`.
     pub loss_prob: f64,
@@ -96,7 +95,7 @@ impl NetworkBehavior {
 }
 
 /// The failure-detector parameters output by the procedure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FdConfig {
     /// Heartbeat inter-sending interval Δi.
     pub interval: Span,

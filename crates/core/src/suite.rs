@@ -34,13 +34,12 @@ use crate::ed::EdFd;
 use crate::impact::ImpactFd;
 use crate::phi::PhiAccrualFd;
 use crate::twofd::{MultiWindowFd, TwoWindowFd};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 use twofd_sim::time::{Nanos, Span};
 
 /// An algorithm plus its structural (non-swept) parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DetectorSpec {
     /// Chen's FD with the given estimation window.
     Chen {
@@ -263,7 +262,7 @@ impl FromStr for DetectorSpec {
 /// This is the unit that travels through configuration — the sharded
 /// fleet runtime, the UDP monitor and the service layer all accept it —
 /// so "which detector watches this stream" is a value, not a closure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DetectorConfig {
     /// The algorithm and its structural parameters.
     pub spec: DetectorSpec,

@@ -3,9 +3,8 @@
 //! The paper's experiments exchange heartbeats over UDP/IP; this crate
 //! provides that substrate for the live examples and end-to-end tests:
 //!
-//! * [`wire`] — the versioned heartbeat datagram format (40 bytes in
-//!   v2, carrying the sender's incarnation; 32-byte v1 frames still
-//!   decode).
+//! * [`wire`] — the heartbeat datagram format (40 bytes, carrying the
+//!   sender's incarnation).
 //! * [`clock`] — monotonic per-process clocks (deliberately
 //!   unsynchronized between sender and monitor, as in the paper).
 //! * [`sender`] — the monitored process `p`: a periodic emitter thread
@@ -20,8 +19,8 @@
 //!   caller such as the cluster simulator can also call directly.
 //! * [`intake`] — batch UDP receive: `recvmmsg(2)` on Linux (raw FFI,
 //!   no extra crates), portable single-`recv` fallback elsewhere.
-//! * [`transport`] — the send/recv seam: UDP (batched or per-datagram)
-//!   and an in-memory pair for deterministic, socket-free runs.
+//! * [`transport`] — the send/recv seam: batched UDP and an in-memory
+//!   pair for deterministic, socket-free runs.
 //! * [`fleet`] — one socket monitoring many senders, demultiplexed by
 //!   the wire format's stream id into the sharded runtime.
 //!
@@ -55,7 +54,7 @@ pub use shard::{
     ShardStats,
 };
 pub use transport::{
-    sim_channel, SenderTransport, SimSender, SimTransport, Transport, UdpDatagramTransport,
-    UdpSenderTransport, UdpTransport,
+    sim_channel, SenderTransport, SimSender, SimTransport, Transport, UdpSenderTransport,
+    UdpTransport,
 };
-pub use wire::{Heartbeat, WireError, WIRE_SIZE, WIRE_SIZE_V1};
+pub use wire::{Heartbeat, WireError, WIRE_SIZE};

@@ -252,8 +252,8 @@ impl Default for ShardConfig {
 
 /// One heartbeat routed to a shard: `(stream, seq, arrival,
 /// incarnation)`. This is the element type of
-/// [`ShardRuntime::ingest_batch`] slices. Crash-stop senders (and v1
-/// wire frames) carry incarnation 0.
+/// [`ShardRuntime::ingest_batch`] slices. A sender that has never
+/// restarted carries incarnation 0.
 pub type Job = (u64, u64, Nanos, u32);
 
 /// Largest number of heartbeats a worker dequeues and applies under one

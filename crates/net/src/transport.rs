@@ -10,9 +10,8 @@
 //!   UDP fast path stays allocation-free.
 //! * [`SenderTransport`] — the send side: one encoded datagram out.
 //!
-//! Three receive implementations exist: [`UdpTransport`] (batched
-//! `recvmmsg`, the production default), [`UdpDatagramTransport`] (one
-//! `recv(2)` per datagram, kept for differential tests), and
+//! Two receive implementations exist: [`UdpTransport`] (batched
+//! `recvmmsg` on Linux, single-`recv` fallback elsewhere) and
 //! [`SimTransport`] (an in-memory inbox fed by [`SimSender`] handles —
 //! no socket, no kernel, so a deterministic driver can carry heartbeats
 //! between simulated nodes in virtual time).
@@ -23,7 +22,8 @@
 //! [`io::ErrorKind::WouldBlock`] or [`io::ErrorKind::TimedOut`]: the
 //! ingest loop re-checks its stop flag on every such error, which is
 //! how a [`crate::fleet::FleetMonitor`] drop terminates the thread.
-//! Any other error is fatal to the loop.
+//! Any other error ends the loop, and the monitor's `/healthz` turns
+//! unhealthy.
 
 use crate::intake::{BatchReceiver, BATCH};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
@@ -52,7 +52,7 @@ pub trait SenderTransport: Send {
     fn send(&mut self, datagram: &[u8]) -> io::Result<()>;
 }
 
-/// The production receive path: batched UDP intake via
+/// The UDP receive path: batched intake via
 /// [`BatchReceiver`] (`recvmmsg(2)` on Linux, single-`recv` fallback
 /// elsewhere). Honors the socket's read timeout.
 pub struct UdpTransport {
@@ -77,38 +77,6 @@ impl Transport for UdpTransport {
 
     fn datagram(&self, i: usize) -> &[u8] {
         self.receiver.datagram(i)
-    }
-}
-
-/// The original one-`recv(2)`-per-datagram path, kept behind
-/// [`crate::fleet::IntakeMode::PerDatagram`] for differential tests and
-/// before/after benchmarks.
-pub struct UdpDatagramTransport {
-    socket: UdpSocket,
-    buf: [u8; 128],
-    len: usize,
-}
-
-impl UdpDatagramTransport {
-    /// Wraps a bound (and read-timeout-configured) socket.
-    pub fn new(socket: UdpSocket) -> Self {
-        UdpDatagramTransport {
-            socket,
-            buf: [0u8; 128],
-            len: 0,
-        }
-    }
-}
-
-impl Transport for UdpDatagramTransport {
-    fn recv_batch(&mut self) -> io::Result<usize> {
-        self.len = self.socket.recv(&mut self.buf)?;
-        Ok(1)
-    }
-
-    fn datagram(&self, i: usize) -> &[u8] {
-        assert_eq!(i, 0, "per-datagram transport holds one datagram");
-        &self.buf[..self.len]
     }
 }
 

@@ -7,11 +7,10 @@
 //! over an horizon, for both deployments.
 
 use crate::combine::SharedConfig;
-use serde::{Deserialize, Serialize};
 use twofd_sim::time::Span;
 
 /// Message-load comparison over a given horizon.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadReport {
     /// Horizon the totals are computed over, seconds.
     pub horizon_secs: f64,

@@ -20,7 +20,6 @@
 use crate::combine::{combine, CombineError, SharedConfig};
 use crate::registry::AppRegistry;
 use crate::shared::SharedServiceDetector;
-use serde::{Deserialize, Serialize};
 use twofd_core::{DetectorSpec, NetworkEstimator};
 use twofd_sim::delay::{DelayModel, DelaySpec};
 use twofd_sim::event::EventQueue;
@@ -29,7 +28,7 @@ use twofd_sim::rng::SimRng;
 use twofd_sim::time::{Nanos, Span};
 
 /// One adopted configuration, with the estimates that produced it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigRecord {
     /// When the configuration was adopted.
     pub at: Nanos,
@@ -42,7 +41,7 @@ pub struct ReconfigRecord {
 }
 
 /// Outcome of an adaptive run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveRunReport {
     /// Every configuration adopted, in order (the initial one first).
     pub reconfigurations: Vec<ReconfigRecord>,

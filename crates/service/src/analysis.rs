@@ -18,13 +18,12 @@
 use crate::accounting::{load_report, LoadReport};
 use crate::combine::{combine, CombineError, SharedConfig};
 use crate::registry::{AppId, AppRegistry};
-use serde::{Deserialize, Serialize};
 use twofd_core::{replay, DetectorConfig, DetectorSpec, NetworkBehavior, QosMetrics};
 use twofd_sim::time::Span;
 use twofd_trace::Trace;
 
 /// QoS of one application under both deployments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppQosComparison {
     /// The application.
     pub id: AppId,
@@ -46,7 +45,7 @@ impl AppQosComparison {
 }
 
 /// Full analysis output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceAnalysis {
     /// The combined configuration under analysis.
     pub config: SharedConfig,

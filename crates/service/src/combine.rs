@@ -17,12 +17,11 @@
 //! improve — while the network carries one stream instead of `n`.
 
 use crate::registry::{AppId, AppRegistry};
-use serde::{Deserialize, Serialize};
 use twofd_core::{configure, ConfigError, FdConfig, NetworkBehavior};
 use twofd_sim::time::Span;
 
 /// Per-application share of the combined configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppShare {
     /// The application this share belongs to.
     pub id: AppId,
@@ -39,7 +38,7 @@ pub struct AppShare {
 }
 
 /// The combined service configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SharedConfig {
     /// The shared heartbeat interval `Δi_min`.
     pub interval: Span,

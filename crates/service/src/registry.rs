@@ -11,15 +11,14 @@
 //! strictest QoS any bound application demands — which is what the
 //! detector factory needs when a shard instantiates a stream's detector.
 
-use serde::{Deserialize, Serialize};
 use twofd_core::QosSpec;
 
 /// Identifier of a registered application.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AppId(pub u32);
 
 /// A registered application with its QoS requirements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppRequirement {
     /// Stable identifier.
     pub id: AppId,
@@ -33,7 +32,7 @@ pub struct AppRequirement {
 }
 
 /// The set of applications sharing one failure-detection service.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AppRegistry {
     apps: Vec<AppRequirement>,
     next_id: u32,

@@ -5,13 +5,12 @@
 //! stateful (auto-correlated delays, congestion spikes), so they take
 //! `&mut self`.
 //!
-//! Serializable [`DelaySpec`] descriptions build the concrete models; the
+//! Plain-data [`DelaySpec`] descriptions build the concrete models; the
 //! scenario scripting in [`crate::scenario`] stores specs, not trait
-//! objects, so scenarios can be persisted alongside generated traces.
+//! objects, so a scenario is a value that can be cloned and compared.
 
 use crate::rng::{log_normal_params, DistSpec, SimRng};
 use crate::time::{Nanos, Span};
-use serde::{Deserialize, Serialize};
 
 /// A stateful one-way delay process.
 pub trait DelayModel {
@@ -197,11 +196,11 @@ impl DelayModel for Box<dyn DelayModel + Send> {
     }
 }
 
-/// Serializable description of a delay model.
+/// Plain-data description of a delay model.
 ///
 /// Variant fields mirror the corresponding model constructors; all
 /// times are seconds unless the field name says `nanos`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[allow(missing_docs)]
 pub enum DelaySpec {
     /// Every message takes exactly `nanos`.

@@ -10,10 +10,9 @@
 use crate::rng::SimRng;
 use crate::scenario::{NetworkScenario, ScenarioNetwork, Transmission};
 use crate::time::{Nanos, Span};
-use serde::{Deserialize, Serialize};
 
 /// The fate of one heartbeat.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeartbeatOutcome {
     /// Sequence number, starting at 1.
     pub seq: u64,
@@ -31,7 +30,7 @@ impl HeartbeatOutcome {
 }
 
 /// Configuration of a heartbeat emission run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeartbeatRun {
     /// Heartbeat interval Δi.
     pub interval: Span,

@@ -26,10 +26,9 @@ use crate::loss::{GilbertElliottLoss, LossModel};
 use crate::rng::SimRng;
 use crate::scenario::{NetworkScenario, ScenarioNetwork, Transmission};
 use crate::time::{Nanos, Span};
-use serde::{Deserialize, Serialize};
 
 /// What a [`LinkDirective`] does to transmissions inside its window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LinkEffect {
     /// Drop every message (a hard partition of this direction).
     Blackout,
@@ -66,7 +65,7 @@ pub enum LinkEffect {
 /// One time-windowed effect on a link: `effect` applies to every
 /// message sent in `[start, end)` (nanoseconds, half-open — the same
 /// convention as [`crate::loss::LossSpec::Scripted`] windows).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkDirective {
     /// Window start (inclusive), in nanoseconds of send time.
     pub start: u64,
@@ -83,9 +82,9 @@ impl LinkDirective {
     }
 }
 
-/// Serializable description of one directed link: a base
+/// Plain-data description of one directed link: a base
 /// [`NetworkScenario`] plus layered time-windowed directives.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkSpec {
     /// Baseline behaviour (phase-scripted delay and loss).
     pub scenario: NetworkScenario,

@@ -9,7 +9,6 @@
 
 use crate::rng::SimRng;
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// A stateful loss process.
 pub trait LossModel {
@@ -134,10 +133,10 @@ impl<M: LossModel> LossModel for ScriptedLoss<M> {
     }
 }
 
-/// Serializable description of a loss model.
+/// Plain-data description of a loss model.
 ///
 /// Variant fields mirror the corresponding model constructors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)]
 pub enum LossSpec {
     /// No losses.

@@ -16,7 +16,6 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The deterministic RNG used throughout the simulator.
 ///
@@ -134,11 +133,11 @@ pub fn log_normal_params(mean: f64, std_dev: f64) -> (f64, f64) {
     (mu, sigma2.sqrt())
 }
 
-/// Serializable description of a scalar distribution; the simulation
+/// Plain-data description of a scalar distribution; the simulation
 /// scenarios use this to script network phases.
 ///
 /// Variant fields are the distributions' usual parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[allow(missing_docs)]
 pub enum DistSpec {
     /// A degenerate point mass.

@@ -4,17 +4,16 @@
 //! regimes — *Stable 1*, *Burst*, *Worm*, *Stable 2* (Table I) — each with
 //! its own delay and loss behaviour. A [`NetworkScenario`] is exactly
 //! that: an ordered list of [`Phase`]s, each active for a number of
-//! heartbeats, with serializable model specs so the whole scenario can be
-//! persisted next to the traces it generated.
+//! heartbeats, with plain-data model specs rather than trait objects, so
+//! a scenario is a value that can be cloned, compared and rebuilt.
 
 use crate::delay::{DelayModel, DelaySpec};
 use crate::loss::{LossModel, LossSpec};
 use crate::rng::SimRng;
 use crate::time::{Nanos, Span};
-use serde::{Deserialize, Serialize};
 
 /// One regime of network behaviour.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
     /// Human-readable label ("Stable 1", "Burst", …).
     pub name: String,
@@ -27,7 +26,7 @@ pub struct Phase {
 }
 
 /// An ordered sequence of phases.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkScenario {
     /// The regimes, applied to heartbeats in order.
     pub phases: Vec<Phase>,

@@ -19,7 +19,6 @@
 
 use crate::record::Trace;
 use crate::segments::table1_segments;
-use serde::{Deserialize, Serialize};
 use twofd_sim::delay::DelaySpec;
 use twofd_sim::heartbeat::HeartbeatRun;
 use twofd_sim::loss::LossSpec;
@@ -28,7 +27,7 @@ use twofd_sim::scenario::{NetworkScenario, Phase};
 use twofd_sim::time::{Nanos, Span};
 
 /// Configuration of the synthetic WAN trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WanTraceConfig {
     /// Total heartbeats (the paper's trace has 5,845,712; default scales
     /// down to 200,000 to keep experiment turnaround reasonable —
@@ -215,7 +214,7 @@ impl WanTraceConfig {
 }
 
 /// Configuration of the synthetic LAN trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LanTraceConfig {
     /// Total heartbeats (paper: 7,104,446; default scales down).
     pub samples: u64,

@@ -10,7 +10,6 @@
 //! execution for each FD algorithm"), so the trace type is shared by
 //! every higher layer of this workspace.
 
-use serde::{Deserialize, Serialize};
 use twofd_sim::heartbeat::HeartbeatOutcome;
 use twofd_sim::time::{Nanos, Span};
 
@@ -19,7 +18,7 @@ use twofd_sim::time::{Nanos, Span};
 pub type HeartbeatRecord = HeartbeatOutcome;
 
 /// A complete heartbeat experiment log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Human-readable origin ("synthetic-wan", "synthetic-lan", …).
     pub name: String,

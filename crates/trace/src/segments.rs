@@ -8,7 +8,6 @@
 //! smaller sample count.
 
 use crate::record::Trace;
-use serde::{Deserialize, Serialize};
 
 /// Paper's total WAN sample count (Table I).
 pub const PAPER_WAN_SAMPLES: u64 = 5_845_712;
@@ -22,7 +21,7 @@ pub const PAPER_TABLE1: [(&str, u64, u64); 4] = [
 ];
 
 /// A named half-open sequence-number range `[from_seq, to_seq)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Segment {
     /// Segment label.
     pub name: String,

@@ -6,11 +6,10 @@
 //! the experiment reports (delay percentiles, inter-arrival behaviour).
 
 use crate::record::Trace;
-use serde::{Deserialize, Serialize};
 use twofd_sim::time::Span;
 
 /// Descriptive statistics of one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStats {
     /// Heartbeats sent.
     pub sent: u64,

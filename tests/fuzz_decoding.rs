@@ -4,16 +4,16 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use twofd::net::{Heartbeat, Job, ManualClock, ShardConfig, ShardRuntime, WIRE_SIZE, WIRE_SIZE_V1};
+use twofd::net::{Heartbeat, Job, ManualClock, ShardConfig, ShardRuntime, WireError, WIRE_SIZE};
 use twofd::prelude::*;
 use twofd::trace::{decode_binary, decode_csv, encode_binary};
 
-/// The version-1 (crash-stop) frame of `hb`: the 32-byte prefix the two
-/// versions share, stamped version 1. Nothing in the workspace sends v1
-/// any more, so the encoder lives with the tests of its decoder.
-fn encode_v1(hb: &Heartbeat) -> Vec<u8> {
-    let mut frame = hb.encode()[..WIRE_SIZE_V1].to_vec();
-    frame[4..6].copy_from_slice(&twofd::net::wire::VERSION_V1.to_le_bytes());
+/// The retired version-1 (crash-stop) frame of `hb`: the first 32
+/// bytes of its frame, stamped version 1 — what a sender from before
+/// the incarnation field puts on the wire. The decoder rejects it.
+fn retired_v1(hb: &Heartbeat) -> Vec<u8> {
+    let mut frame = hb.encode()[..32].to_vec();
+    frame[4..6].copy_from_slice(&1u16.to_le_bytes());
     frame
 }
 
@@ -46,9 +46,9 @@ proptest! {
         }
     }
 
-    /// Both wire versions round-trip for arbitrary field values, and a
-    /// v1 frame — which cannot carry an incarnation — always decodes to
-    /// incarnation 0 (crash-stop semantics).
+    /// Frames round-trip for arbitrary field values, and the retired v1
+    /// frame — which cannot carry an incarnation — is always rejected:
+    /// as too short, and padded to full length, for its version.
     #[test]
     fn versioned_wire_frames_round_trip(
         stream in any::<u64>(),
@@ -58,13 +58,14 @@ proptest! {
     ) {
         let hb = Heartbeat { stream, seq, sent_at: Nanos(at), incarnation };
         prop_assert_eq!(Heartbeat::decode(&hb.encode()).unwrap(), hb);
-        prop_assert_eq!(
-            Heartbeat::decode(&encode_v1(&hb)).unwrap(),
-            Heartbeat { incarnation: 0, ..hb }
-        );
+        let v1 = retired_v1(&hb);
+        prop_assert_eq!(Heartbeat::decode(&v1), Err(WireError::TooShort { len: 32 }));
+        let mut padded = v1;
+        padded.resize(WIRE_SIZE, 0);
+        prop_assert_eq!(Heartbeat::decode(&padded), Err(WireError::BadVersion(1)));
     }
 
-    /// A v2 frame truncated anywhere — including inside the incarnation
+    /// A frame truncated anywhere — including inside the incarnation
     /// field `[32, 40)`, where a sloppy decoder might zero-fill — is
     /// rejected without panicking; garbage stuffed into the incarnation
     /// bytes still decodes (any u32 is a legal incarnation) and
@@ -79,9 +80,6 @@ proptest! {
         let hb = Heartbeat { stream, seq, sent_at: Nanos(7), incarnation: 1 };
         let full = hb.encode();
         prop_assert!(Heartbeat::decode(&full[..cut]).is_err(), "cut at {}", cut);
-        // Even the exact v1 length is no excuse: the version field says
-        // v2, so the missing incarnation must not be zero-filled.
-        prop_assert!(Heartbeat::decode(&full[..WIRE_SIZE_V1]).is_err());
 
         let mut garbled = full.to_vec();
         garbled[32..36].copy_from_slice(&junk.to_le_bytes());
@@ -102,7 +100,7 @@ proptest! {
     fn intake_batches_reconcile_exactly(
         // One tuple per datagram. The leading integer selects the shape
         // (the vendored proptest has no `prop_oneof`): 0 = valid v2,
-        // 1 = valid v1 (mixed-version fleet), 2 = truncated,
+        // 1 = retired v1 frame (rejected), 2 = truncated,
         // 3 = valid prefix + trailing junk, 4 = garbage.
         specs in prop::collection::vec(
             (0u8..5, 0u64..8, 1u64..1_000_000, 0usize..64),
@@ -120,14 +118,12 @@ proptest! {
             };
             match kind {
                 0 => datagrams.push(hb.encode().to_vec()),
-                1 => datagrams.push(encode_v1(&hb)),
-                // Truncated: shorter than WIRE_SIZE, never valid —
-                // lengths in [WIRE_SIZE_V1, WIRE_SIZE) claim a v2 frame
-                // whose incarnation field is cut off.
+                1 => datagrams.push(retired_v1(&hb)),
+                // Truncated: shorter than WIRE_SIZE, never valid.
                 2 => datagrams.push(hb.encode()[..size % WIRE_SIZE].to_vec()),
                 3 => {
-                    // Oversized: decoders read a per-version prefix and
-                    // must ignore trailing bytes.
+                    // Oversized: the decoder reads a WIRE_SIZE prefix
+                    // and must ignore trailing bytes.
                     let mut d = hb.encode().to_vec();
                     d.resize(WIRE_SIZE + size, 0xA5);
                     datagrams.push(d);

@@ -1,9 +1,9 @@
 //! Property tests for the `DetectorSpec` text codec.
 //!
-//! The workspace's vendored serde is a no-op facade, so specs persist
-//! through their canonical text form (`Display`/`FromStr`). These
-//! properties check the codec is lossless for *arbitrary* window
-//! parameters, not just the paper's configurations.
+//! The workspace has no serialization framework: specs persist through
+//! their canonical text form (`Display`/`FromStr`). These properties
+//! check the codec is lossless for *arbitrary* window parameters, not
+//! just the paper's configurations.
 
 use proptest::prelude::*;
 use twofd::prelude::*;
