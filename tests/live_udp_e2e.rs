@@ -245,6 +245,37 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     reply
 }
 
+/// Dead intake must show on `/healthz`. Dropping the only `SimSender`
+/// makes the in-memory transport fail with `NotConnected` on its next
+/// receive, at most one 20 ms idle timeout later. The 5 s bound is
+/// generous on purpose: only a monitor that never notices the dead
+/// intake fails it.
+#[test]
+fn healthz_turns_unhealthy_when_intake_dies() {
+    use std::sync::Arc;
+    use twofd::net::{sim_channel, FleetMonitor, MonotonicClock, ShardConfig};
+
+    let (sender, transport) = sim_channel(16);
+    let monitor = FleetMonitor::spawn_with_transport(
+        ShardConfig::default(),
+        transport,
+        Arc::new(MonotonicClock::new()),
+    )
+    .expect("spawn fleet monitor");
+    let server = monitor.serve_metrics().expect("bind metrics server");
+    let addr = server.local_addr();
+    let reply = http_get(addr, "/healthz");
+    assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+    drop(sender);
+    assert!(
+        wait_for(
+            || http_get(addr, "/healthz").starts_with("HTTP/1.1 503"),
+            Duration::from_secs(5)
+        ),
+        "/healthz still healthy after the intake thread exited"
+    );
+}
+
 #[test]
 fn metrics_endpoint_scrapes_the_live_fleet() {
     use twofd::core::QosSpec;
