@@ -142,7 +142,7 @@ where
     B: DetectorBuilder<u64> + Send + 'static,
     B::Detector: Send,
 {
-    let set = Arc::new(parking_lot::Mutex::new(ProcessSet::new(builder)));
+    let set = Arc::new(std::sync::Mutex::new(ProcessSet::new(builder)));
     let stop = Arc::new(AtomicBool::new(false));
     let reader = observed.then(|| {
         let set = Arc::clone(&set);
@@ -151,7 +151,7 @@ where
         std::thread::spawn(move || {
             let mut scans = 0u64;
             while !stop.load(Ordering::Relaxed) {
-                scans += set.lock().statuses(now).len() as u64;
+                scans += set.lock().unwrap().statuses(now).len() as u64;
             }
             scans
         })
@@ -161,6 +161,7 @@ where
     for &(stream, seq, at) in jobs {
         events.clear();
         set.lock()
+            .unwrap()
             .on_heartbeat_incarnated(stream, 0, seq, at, &mut events);
     }
     let elapsed = t0.elapsed();

@@ -3,10 +3,10 @@
 //!
 //! In the mold of loom/CDSChecker: production code compiles against
 //! instrumented [`sync`] / [`thread`] shims (via `#[cfg(twofd_check)]`
-//! facades in `crossbeam` and `twofd-obs`), and [`model`] exhaustively
-//! explores thread interleavings and relaxed-memory value choices under
-//! a deterministic scheduler, bounded by a preemption budget and an
-//! iteration cap. On failure it prints the full operation trace plus a
+//! facades in `twofd-net`'s inbox and clock and in `twofd-obs`), and
+//! [`model`] exhaustively explores thread interleavings and
+//! relaxed-memory value choices under a deterministic scheduler,
+//! bounded by a preemption budget and an iteration cap. On failure it prints the full operation trace plus a
 //! schedule seed that [`Builder::replay_seed`] re-executes exactly.
 //!
 //! ```

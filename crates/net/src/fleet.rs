@@ -15,12 +15,11 @@
 //! instead of being discovered by polling.
 
 use crate::clock::{MonotonicClock, TimeSource};
+use crate::inbox::Events;
 use crate::intake::BATCH;
 use crate::shard::{FleetEvent, Job, RuntimeStats, ShardConfig, ShardRuntime};
 use crate::transport::{Transport, UdpTransport};
 use crate::wire::Heartbeat;
-use crossbeam::channel::Receiver;
-use parking_lot::Mutex;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,7 +50,7 @@ pub struct FleetMonitor {
     runtime: Arc<ShardRuntime>,
     stop: Arc<AtomicBool>,
     rejected: Counter,
-    thread: Mutex<Option<JoinHandle<()>>>,
+    thread: Option<JoinHandle<()>>,
     local_addr: SocketAddr,
 }
 
@@ -153,7 +152,7 @@ impl FleetMonitor {
             runtime,
             stop,
             rejected,
-            thread: Mutex::new(Some(thread)),
+            thread: Some(thread),
             local_addr,
         })
     }
@@ -251,7 +250,7 @@ impl FleetMonitor {
 
     /// The stream of Trust/Suspect transitions, stamped with exact
     /// transition times (sweeper-published, no query required).
-    pub fn events(&self) -> &Receiver<FleetEvent> {
+    pub fn events(&self) -> &Events<FleetEvent> {
         self.runtime.events()
     }
 
@@ -270,7 +269,7 @@ impl FleetMonitor {
 impl Drop for FleetMonitor {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.thread.lock().take() {
+        if let Some(handle) = self.thread.take() {
             let _ = handle.join();
         }
     }

@@ -17,6 +17,9 @@
 //!   freshness sweeping and drop-oldest backpressure. Each shard's
 //!   state is a [`shard::ShardCore`], whose `pass` a single-threaded
 //!   caller such as the cluster simulator can also call directly.
+//! * [`inbox`] — the shard queue, with its contract (one producer,
+//!   drop-oldest, an `applied` watermark `flush` waits on), and the
+//!   bounded event queue transitions are published on.
 //! * [`intake`] — batch UDP receive: `recvmmsg(2)` on Linux (raw FFI,
 //!   no extra crates), portable single-`recv` fallback elsewhere.
 //! * [`transport`] — the send/recv seam: batched UDP and an in-memory
@@ -37,6 +40,7 @@
 
 pub mod clock;
 pub mod fleet;
+pub mod inbox;
 pub mod intake;
 pub mod monitor;
 pub mod sender;
@@ -46,6 +50,7 @@ pub mod wire;
 
 pub use clock::{ManualClock, MonotonicClock, SkewedClock, TimeSource};
 pub use fleet::{FleetMonitor, IntakeMode};
+pub use inbox::Events;
 pub use intake::BatchReceiver;
 pub use monitor::{Monitor, TransitionEvent};
 pub use sender::HeartbeatSender;
@@ -58,3 +63,35 @@ pub use transport::{
     UdpTransport,
 };
 pub use wire::{Heartbeat, WireError, WIRE_SIZE};
+
+/// The crate's one poison policy: a lock whose holder panicked is taken
+/// over as that holder left it, and the panic is not re-raised in later
+/// callers. The inbox and event queues cannot panic inside their
+/// critical sections. A shard pass can (a detector bug): that ends the
+/// shard's worker and its counters stop moving, while queries, scrapes
+/// and ingest keep working on the state the pass left instead of each
+/// panicking in turn. Every `Mutex` and `Condvar` result in the crate
+/// goes through here.
+pub(crate) fn unpoison<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::unpoison;
+    use std::sync::{Arc, Mutex};
+
+    #[test]
+    fn a_panicked_holders_lock_is_handed_on() {
+        let m = Arc::new(Mutex::new(0));
+        let m2 = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let mut held = m2.lock().unwrap();
+            *held = 1;
+            panic!("poison attempt");
+        })
+        .join();
+        assert!(m.is_poisoned());
+        assert_eq!(*unpoison(m.lock()), 1, "the holder's last write survives");
+    }
+}

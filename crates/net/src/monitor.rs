@@ -4,20 +4,20 @@
 //! datagram is timestamped on arrival with the monitor's own clock and
 //! fed to every registered [`FailureDetector`] (one per application in
 //! the shared-service deployment) plus a [`NetworkEstimator`] for
-//! `(pL, V(D))`. Clients query outputs at any time; an optional
-//! crossbeam channel streams Trust/Suspect transitions. The channel is
-//! *bounded*: if no one drains it, transitions beyond its capacity are
-//! dropped (newest-first) and counted in
+//! `(pL, V(D))`. Clients query outputs at any time; an [`Events`]
+//! queue streams Trust/Suspect transitions. The queue is *bounded*: if
+//! no one drains it, transitions beyond its capacity are dropped
+//! (newest-first) and counted in
 //! [`Monitor::events_dropped`] rather than growing memory without limit.
 
 use crate::clock::{MonotonicClock, TimeSource};
+use crate::inbox::Events;
+use crate::unpoison;
 use crate::wire::Heartbeat;
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use parking_lot::Mutex;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 use twofd_core::{AnyDetector, DetectorConfig, FailureDetector, FdOutput, NetworkEstimator};
@@ -55,8 +55,7 @@ struct Shared {
     received: Counter,
     rejected: Counter,
     clock: Arc<dyn TimeSource>,
-    events: Sender<TransitionEvent>,
-    events_dropped: Counter,
+    events: Events<TransitionEvent>,
 }
 
 /// Default capacity of the transition-event channel.
@@ -67,9 +66,8 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 /// Dropping the handle stops the receive thread.
 pub struct Monitor {
     shared: Arc<Shared>,
-    thread: Mutex<Option<JoinHandle<()>>>,
+    thread: Option<JoinHandle<()>>,
     local_addr: SocketAddr,
-    event_rx: Receiver<TransitionEvent>,
 }
 
 impl Monitor {
@@ -109,7 +107,6 @@ impl Monitor {
         // Short read timeout so the thread notices stop requests.
         socket.set_read_timeout(Some(Duration::from_millis(20)))?;
 
-        let (tx, rx) = bounded(event_capacity.max(1));
         let n = detectors.len();
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
@@ -121,8 +118,7 @@ impl Monitor {
             received: Counter::new(),
             rejected: Counter::new(),
             clock,
-            events: tx,
-            events_dropped: Counter::new(),
+            events: Events::new(event_capacity, Counter::new()),
         });
 
         let thread_shared = Arc::clone(&shared);
@@ -160,9 +156,8 @@ impl Monitor {
 
         Ok(Monitor {
             shared,
-            thread: Mutex::new(Some(thread)),
+            thread: Some(thread),
             local_addr,
-            event_rx: rx,
         })
     }
 
@@ -174,26 +169,26 @@ impl Monitor {
     /// Output of detector `idx` right now.
     pub fn output(&self, idx: usize) -> Option<FdOutput> {
         let now = self.shared.clock.now();
-        let inner = self.shared.inner.lock();
+        let inner = unpoison(self.shared.inner.lock());
         inner.detectors.get(idx).map(|d| d.output_at(now))
     }
 
     /// Outputs of all detectors right now.
     pub fn outputs(&self) -> Vec<FdOutput> {
         let now = self.shared.clock.now();
-        let inner = self.shared.inner.lock();
+        let inner = unpoison(self.shared.inner.lock());
         inner.detectors.iter().map(|d| d.output_at(now)).collect()
     }
 
     /// Detector names (e.g. `"2w-fd(1,1000)"`), in registration order.
     pub fn detector_names(&self) -> Vec<String> {
-        let inner = self.shared.inner.lock();
+        let inner = unpoison(self.shared.inner.lock());
         inner.detectors.iter().map(|d| d.name()).collect()
     }
 
     /// Current `(pL, V(D))` estimate from observed heartbeats.
     pub fn network_estimate(&self) -> twofd_core::NetworkBehavior {
-        self.shared.inner.lock().estimator.behavior()
+        unpoison(self.shared.inner.lock()).estimator.behavior()
     }
 
     /// Valid heartbeats received so far.
@@ -228,19 +223,19 @@ impl Monitor {
         registry.adopt_counter(
             "twofd_events_dropped_total",
             "Transition events dropped because the event channel was full",
-            &self.shared.events_dropped,
+            &self.shared.events.dropped,
         );
     }
 
     /// The stream of Trust/Suspect transitions.
-    pub fn events(&self) -> &Receiver<TransitionEvent> {
-        &self.event_rx
+    pub fn events(&self) -> &Events<TransitionEvent> {
+        &self.shared.events
     }
 
     /// Transitions dropped because the bounded event channel was full
     /// (i.e. nobody drained [`Monitor::events`] fast enough).
     pub fn events_dropped(&self) -> u64 {
-        self.shared.events_dropped.get()
+        self.shared.events.dropped()
     }
 
     /// The monitor's clock (for interpreting event timestamps).
@@ -251,7 +246,7 @@ impl Monitor {
 
 impl Shared {
     fn deliver(&self, hb: Heartbeat, arrival: Nanos) {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoison(self.inner.lock());
         inner.estimator.observe(hb.seq, hb.sent_at, arrival);
         for d in inner.detectors.iter_mut() {
             d.on_heartbeat(hb.seq, arrival);
@@ -265,7 +260,7 @@ impl Shared {
     }
 
     fn publish_transitions(&self, now: Nanos) {
-        let mut inner = self.inner.lock();
+        let mut inner = unpoison(self.inner.lock());
         let Inner {
             detectors,
             last_outputs,
@@ -280,9 +275,7 @@ impl Shared {
                     output: out,
                     at: now,
                 };
-                if let Err(TrySendError::Full(_)) = self.events.try_send(event) {
-                    self.events_dropped.inc();
-                }
+                self.events.publish(event);
             }
         }
     }
@@ -291,7 +284,7 @@ impl Shared {
 impl Drop for Monitor {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
-        if let Some(handle) = self.thread.lock().take() {
+        if let Some(handle) = self.thread.take() {
             let _ = handle.join();
         }
     }

@@ -9,7 +9,6 @@
 use crate::clock::{MonotonicClock, TimeSource};
 use crate::transport::{SenderTransport, UdpSenderTransport};
 use crate::wire::{Heartbeat, WIRE_SIZE};
-use parking_lot::Mutex;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,7 +36,7 @@ struct Shared {
 #[derive(Debug)]
 pub struct HeartbeatSender {
     shared: Arc<Shared>,
-    thread: Mutex<Option<JoinHandle<()>>>,
+    thread: Option<JoinHandle<()>>,
     local_addr: SocketAddr,
 }
 
@@ -173,7 +172,7 @@ impl HeartbeatSender {
 
         Ok(HeartbeatSender {
             shared,
-            thread: Mutex::new(Some(thread)),
+            thread: Some(thread),
             local_addr,
         })
     }
@@ -215,7 +214,7 @@ impl HeartbeatSender {
 impl Drop for HeartbeatSender {
     fn drop(&mut self) {
         self.crash();
-        if let Some(handle) = self.thread.lock().take() {
+        if let Some(handle) = self.thread.take() {
             let _ = handle.join();
         }
     }

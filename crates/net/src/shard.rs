@@ -9,9 +9,9 @@
 //!                 ingest_batch(&[(stream, seq, arrival, incarnation)])
 //!                        │  route: stream % n_shards
 //!                        │  (jobs grouped per shard, one
-//!                        │   force_send_many per group)
+//!                        │   Inbox::push per group)
 //!        ┌───────────────┼───────────────┐
-//!   [bounded q]     [bounded q]     [bounded q]     force_send_many:
+//!     [Inbox]         [Inbox]         [Inbox]       Inbox::push:
 //!        │               │               │          drop-oldest +
 //!   shard worker    shard worker    shard worker    per-shard counter
 //!   one mutex:      one mutex:      one mutex:
@@ -20,7 +20,7 @@
 //!   slot-indexed    slot-indexed    slot-indexed
 //!   obs state)      obs state)      obs state)
 //!        └───────────────┴───────────────┘
-//!                 bounded events channel (counted drops)
+//!                 bounded Events queue (counted drops)
 //! ```
 //!
 //! * **One pass body** — a shard's state is a [`ShardCore`]: its
@@ -44,17 +44,18 @@
 //!   The event channel drops (and counts) on overflow instead of growing
 //!   without bound.
 //! * **Batched handoff** — [`ShardRuntime::ingest_batch`] groups a
-//!   decoded batch by shard and enqueues each group with one channel
-//!   lock acquisition and at most one worker wakeup
-//!   (`force_send_many`), so channel costs amortize across the batch.
-//!   The accounting identity is untouched: every heartbeat of a batch
-//!   is counted received, and every one the enqueue displaces (from the
-//!   queue or from the batch's own overflow) is counted dropped. The
-//!   worker mirrors it on the way out: one pass takes the shard lock,
-//!   dequeues up to `MAX_BATCH` heartbeats with one channel lock
-//!   acquisition (`try_recv_many`), applies them back to back, and
-//!   bumps `applied`/`stale` once — the queue lock and the counter
-//!   lines the producer polls are touched per pass, not per heartbeat.
+//!   decoded batch by shard and pushes each group into the shard's
+//!   [`Inbox`] with one queue lock and at most one worker wakeup, so
+//!   queue costs amortize across the batch. The accounting identity is
+//!   untouched: every heartbeat of a batch is counted received, and
+//!   every one the push displaces (from the queue or from the batch's
+//!   own overflow) is counted dropped. The worker mirrors it on the way
+//!   out: one pass takes the shard lock, takes up to `MAX_BATCH`
+//!   heartbeats with one queue lock ([`Inbox::take`], which also moves
+//!   the `applied` watermark [`ShardRuntime::flush`] waits on), applies
+//!   them back to back, and bumps `applied`/`stale` once — the queue
+//!   lock and the counter lines are touched per pass, not per
+//!   heartbeat.
 //! * **Deadline-driven sweeping** — each worker advances its shard's
 //!   hierarchical timing wheel ([`twofd_core::wheel`]) on every pass,
 //!   harvesting every expired horizon in one `O(1)`-amortized
@@ -81,11 +82,12 @@
 //! pass relies on each shard queue having one producer that stamps
 //! arrivals in order (the fleet's ingest thread, or a simulator's
 //! driver), so that no queued heartbeat arrived before one already
-//! dequeued. A single-threaded caller of [`ShardCore::pass`] keeps the
-//! same rule in its simplest form: apply in arrival order, sweep to the
-//! last arrival. The `shard_equivalence` integration test exploits this
-//! to check the sharded runtime against the sequential replay oracle
-//! event-for-event.
+//! dequeued; the inbox counts every arrival that breaks that rule in
+//! `twofd_shard_out_of_order_total`. A single-threaded caller of
+//! [`ShardCore::pass`] keeps the same rule in its simplest form: apply
+//! in arrival order, sweep to the last arrival. The `shard_equivalence`
+//! integration test exploits this to check the sharded runtime against
+//! the sequential replay oracle event-for-event.
 //!
 //! ## Observability
 //!
@@ -113,10 +115,10 @@
 //! slot.
 
 use crate::clock::TimeSource;
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
-use parking_lot::Mutex;
+use crate::inbox::{Events, Inbox};
+use crate::unpoison;
 use std::fmt;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 use twofd_core::{
@@ -548,6 +550,8 @@ impl ShardCore {
 struct ShardShared {
     /// The shard's one lock.
     core: Mutex<ShardCore>,
+    /// The shard's queue: the ingest path pushes, the worker takes.
+    inbox: Inbox,
     /// Heartbeats routed to this shard.
     received: Counter,
     /// Heartbeats evicted by drop-oldest backpressure.
@@ -556,6 +560,9 @@ struct ShardShared {
     applied: Counter,
     /// Stale (duplicate/reordered) heartbeats ignored by detectors.
     stale: Counter,
+    /// Heartbeats pushed with an arrival earlier than the latest one
+    /// already pushed to this shard: the one-producer rule broken.
+    out_of_order: Counter,
     /// Suspect→Trust transitions published.
     to_trust: Counter,
     /// Trust→Suspect transitions published.
@@ -566,7 +573,6 @@ struct ShardShared {
 }
 
 struct Shard {
-    tx: Option<Sender<Job>>,
     shared: Arc<ShardShared>,
     worker: Option<JoinHandle<()>>,
 }
@@ -663,17 +669,13 @@ impl RuntimeStats {
 
 /// Everything the workers, queries and scrape hooks share. Split from
 /// [`ShardRuntime`] so the registry's scrape hook can hold a [`Weak`]
-/// reference — the hook must not keep the worker queues alive after the
-/// runtime is dropped, or shutdown would never disconnect them.
+/// reference — the hook must not keep the runtime alive after it is
+/// dropped, or shutdown would never close the worker queues.
 struct Inner {
     shards: Vec<Shard>,
-    events_rx: Receiver<FleetEvent>,
-    /// The workers' event channel, kept here too so
-    /// [`ShardRuntime::sweep_now`] can publish caller-driven sweeps
-    /// through the same stream. Does not keep workers alive — they own
-    /// their own clones, and shutdown is the job queues disconnecting.
-    events_tx: Sender<FleetEvent>,
-    events_dropped: Counter,
+    /// Where the workers, `adopt` and [`ShardRuntime::sweep_now`]
+    /// publish transitions.
+    events: Arc<Events<FleetEvent>>,
     /// The per-stream `twofd_qos_*` families, when QoS tracking is on:
     /// scrapes publish into them, `deregister` removes from them.
     qos_gauges: Option<QosGauges>,
@@ -688,8 +690,8 @@ impl Inner {
 
 impl Drop for Inner {
     fn drop(&mut self) {
-        for shard in &mut self.shards {
-            shard.tx.take(); // disconnects the queue; worker drains and exits
+        for shard in &self.shards {
+            shard.shared.inbox.close(); // the worker drains and exits
         }
         for shard in &mut self.shards {
             if let Some(handle) = shard.worker.take() {
@@ -828,11 +830,13 @@ impl ShardRuntime {
             config.queue_capacity > 0,
             "shard queues must hold something"
         );
-        let (events_tx, events_rx) = bounded(config.event_capacity.max(1));
-        let events_dropped = registry.counter(
-            "twofd_events_dropped_total",
-            "Transition events dropped because the event channel was full",
-        );
+        let events = Arc::new(Events::new(
+            config.event_capacity,
+            registry.counter(
+                "twofd_events_dropped_total",
+                "Transition events dropped because the event channel was full",
+            ),
+        ));
 
         let received_vec = registry.counter_vec(
             "twofd_shard_received_total",
@@ -852,6 +856,11 @@ impl ShardRuntime {
         let stale_vec = registry.counter_vec(
             "twofd_shard_stale_total",
             "Stale (duplicate/reordered) heartbeats ignored by detectors",
+            &["shard"],
+        );
+        let out_of_order_vec = registry.counter_vec(
+            "twofd_shard_out_of_order_total",
+            "Heartbeats pushed with an arrival earlier than the latest one already pushed to the shard",
             &["shard"],
         );
         let transitions_vec = registry.counter_vec(
@@ -875,7 +884,6 @@ impl ShardRuntime {
         let shards = (0..config.n_shards)
             .map(|i| {
                 let label = i.to_string();
-                let (tx, rx) = bounded::<Job>(config.queue_capacity);
                 let shared = Arc::new(ShardShared {
                     core: Mutex::new(ShardCore::with_metrics(
                         config.detector.clone(),
@@ -883,41 +891,32 @@ impl ShardRuntime {
                         jitter_vec.as_ref().map(|v| v.with(&[&label])),
                         Some(sweep_vec.with(&[&label])),
                     )),
+                    inbox: Inbox::new(config.queue_capacity),
                     received: received_vec.with(&[&label]),
                     dropped: dropped_vec.with(&[&label]),
                     applied: applied_vec.with(&[&label]),
                     stale: stale_vec.with(&[&label]),
+                    out_of_order: out_of_order_vec.with(&[&label]),
                     to_trust: transitions_vec.with(&[&label, "to_trust"]),
                     to_suspect: transitions_vec.with(&[&label, "to_suspect"]),
                     to_recovered: transitions_vec.with(&[&label, "to_recovered"]),
                 });
                 let worker = {
                     let shared = Arc::clone(&shared);
-                    let events_tx = events_tx.clone();
-                    let events_dropped = events_dropped.clone();
+                    let events = Arc::clone(&events);
                     let clock = Arc::clone(&clock);
                     let sweep_interval = config.sweep_interval;
                     thread::Builder::new()
                         // hotpath:allow(alloc) — startup path: one
                         // thread-name string per shard, at spawn.
                         .name(format!("twofd-shard-{i}"))
-                        .spawn(move || {
-                            shard_worker(
-                                shared,
-                                rx,
-                                events_tx,
-                                events_dropped,
-                                clock,
-                                sweep_interval,
-                            )
-                        })
+                        .spawn(move || shard_worker(shared, events, clock, sweep_interval))
                         // hotpath:allow(panic) — startup path: failing
                         // to spawn a worker means the runtime cannot
                         // exist; fail-stop at construction is correct.
                         .expect("spawn shard worker")
                 };
                 Shard {
-                    tx: Some(tx),
                     shared,
                     worker: Some(worker),
                 }
@@ -926,9 +925,7 @@ impl ShardRuntime {
 
         let inner = Arc::new(Inner {
             shards,
-            events_rx,
-            events_tx,
-            events_dropped,
+            events,
             qos_gauges: config.obs.qos.as_ref().map(|_| QosGauges::new(&registry)),
             clock,
         });
@@ -958,16 +955,17 @@ impl ShardRuntime {
         registry.on_scrape(move || {
             let Some(inner) = weak.upgrade() else { return };
             let now = inner.clock.now();
-            events_depth.set(inner.events_rx.len() as f64);
+            events_depth.set(inner.events.len() as f64);
             for (i, shard) in inner.shards.iter().enumerate() {
                 let label = i.to_string();
-                let depth = shard.tx.as_ref().map(|tx| tx.len()).unwrap_or(0);
-                queue_depth.with(&[&label]).set(depth as f64);
+                queue_depth
+                    .with(&[&label])
+                    .set(shard.shared.inbox.len() as f64);
                 // hotpath:allow(block) — scrape path, not the worker
                 // loop: runs at exporter cadence (seconds) and holds
                 // each shard's lock for an O(live) tally plus, with QoS
                 // tracking on, one estimate per tracked stream.
-                let mut core = shard.shared.core.lock();
+                let mut core = unpoison(shard.shared.core.lock());
                 let (live, suspect) = core.set.counts(now);
                 streams_gauge.with(&[&label, "live"]).set(live as f64);
                 streams_gauge.with(&[&label, "suspect"]).set(suspect as f64);
@@ -1039,27 +1037,20 @@ impl ShardRuntime {
         }
     }
 
-    /// Enqueues one shard's slice of a batch with a single channel
-    /// operation, reconciling the counters exactly.
+    /// Pushes one shard's slice of a batch with a single queue lock,
+    /// reconciling the counters exactly.
     fn enqueue_group(&self, shard: &Shard, group: &[Job]) {
         if group.is_empty() {
             return;
         }
-        shard.shared.received.add(group.len() as u64);
-        // Err means the worker already shut down; the jobs are dropped on
-        // the floor.
-        // hotpath:allow(panic) — invariant: `tx` is only taken in
-        // `Drop`, and this borrows `&self`, so the runtime is
-        // necessarily still alive here.
-        if let Ok(evicted) = shard
-            .tx
-            .as_ref()
-            .expect("runtime is live")
-            .force_send_many(group)
-        {
-            if evicted > 0 {
-                shard.shared.dropped.add(evicted as u64);
-            }
+        let shared = &shard.shared;
+        shared.received.add(group.len() as u64);
+        let pushed = shared.inbox.push(group);
+        if pushed.evicted > 0 {
+            shared.dropped.add(pushed.evicted as u64);
+        }
+        if pushed.out_of_order > 0 {
+            shared.out_of_order.add(pushed.out_of_order as u64);
         }
     }
 
@@ -1070,7 +1061,7 @@ impl ShardRuntime {
     pub fn register(&self, stream: u64) {
         // hotpath:allow(block) — control-plane admin op, not the worker
         // loop: the per-shard mutex is held for one O(1) insert.
-        self.shard_of(stream).shared.core.lock().register(stream);
+        unpoison(self.shard_of(stream).shared.core.lock()).register(stream);
     }
 
     /// Removes a stream from monitoring; returns whether it existed.
@@ -1084,7 +1075,8 @@ impl ShardRuntime {
     pub fn deregister(&self, stream: u64) -> bool {
         // hotpath:allow(block) — control-plane admin op: one short
         // critical section (O(1) removals), off the heartbeat path.
-        let (existed, tracked) = self.shard_of(stream).shared.core.lock().deregister(stream);
+        let (existed, tracked) =
+            unpoison(self.shard_of(stream).shared.core.lock()).deregister(stream);
         if let (true, Some(gauges)) = (tracked, &self.inner.qos_gauges) {
             gauges.remove(stream);
         }
@@ -1112,18 +1104,14 @@ impl ShardRuntime {
         // hotpath:allow(block) — digest-relay control plane: one short
         // critical section, serialized with the worker by design (the
         // shard mutex IS the serialization point).
-        let applied =
-            shard
-                .shared
-                .core
-                .lock()
-                .adopt(stream, incarnation, trust_until, now, &mut events);
-        publish(
-            &shard.shared,
-            &self.inner.events_tx,
-            &self.inner.events_dropped,
+        let applied = unpoison(shard.shared.core.lock()).adopt(
+            stream,
+            incarnation,
+            trust_until,
+            now,
             &mut events,
         );
+        publish(&shard.shared, &self.inner.events, &mut events);
         applied
     }
 
@@ -1132,7 +1120,7 @@ impl ShardRuntime {
         let now = self.inner.clock.now();
         // hotpath:allow(block) — caller-side query, not the worker
         // loop: one O(1) lookup under the per-shard mutex.
-        self.shard_of(stream).shared.core.lock().output(stream, now)
+        unpoison(self.shard_of(stream).shared.core.lock()).output(stream, now)
     }
 
     /// Status snapshot of every monitored stream, across all shards.
@@ -1144,7 +1132,7 @@ impl ShardRuntime {
         self.inner
             .shards
             .iter()
-            .flat_map(|s| s.shared.core.lock().statuses(now))
+            .flat_map(|s| unpoison(s.shared.core.lock()).statuses(now))
             .collect()
     }
 
@@ -1156,7 +1144,7 @@ impl ShardRuntime {
         self.inner
             .shards
             .iter()
-            .flat_map(|s| s.shared.core.lock().set.suspected(now))
+            .flat_map(|s| unpoison(s.shared.core.lock()).set.suspected(now))
             .collect()
     }
 
@@ -1167,7 +1155,7 @@ impl ShardRuntime {
         self.inner
             .shards
             .iter()
-            .map(|s| s.shared.core.lock().set.len())
+            .map(|s| unpoison(s.shared.core.lock()).set.len())
             .sum()
     }
 
@@ -1177,13 +1165,13 @@ impl ShardRuntime {
     }
 
     /// The stream of Trust/Suspect transitions, timestamped exactly.
-    pub fn events(&self) -> &Receiver<FleetEvent> {
-        &self.inner.events_rx
+    pub fn events(&self) -> &Events<FleetEvent> {
+        &self.inner.events
     }
 
-    /// Transition events dropped because the event channel was full.
+    /// Transition events dropped because the event queue was full.
     pub fn events_dropped(&self) -> u64 {
-        self.inner.events_dropped.get()
+        self.inner.events.dropped()
     }
 
     /// The online QoS estimates for one stream as of now, if QoS
@@ -1192,11 +1180,7 @@ impl ShardRuntime {
         let now = self.inner.clock.now();
         // hotpath:allow(block) — observer query: one O(1) tracker
         // lookup under the shard lock, off the worker loop.
-        self.shard_of(stream)
-            .shared
-            .core
-            .lock()
-            .qos_metrics(stream, now)
+        unpoison(self.shard_of(stream).shared.core.lock()).qos_metrics(stream, now)
     }
 
     /// The live verdict of one stream against its configured QoS bound,
@@ -1206,11 +1190,7 @@ impl ShardRuntime {
         let now = self.inner.clock.now();
         // hotpath:allow(block) — observer query, same O(1) lookup
         // discipline as `qos_metrics`.
-        self.shard_of(stream)
-            .shared
-            .core
-            .lock()
-            .qos_verdict(stream, now)
+        unpoison(self.shard_of(stream).shared.core.lock()).qos_verdict(stream, now)
     }
 
     /// Observability snapshot: per-shard counters, queue depths and
@@ -1226,10 +1206,9 @@ impl ShardRuntime {
                 let (streams, live, suspect, queue_depth) = {
                     // hotpath:allow(block) — observability snapshot:
                     // per-shard O(live) tally at caller cadence.
-                    let core = s.shared.core.lock();
+                    let core = unpoison(s.shared.core.lock());
                     let (live, suspect) = core.set.counts(now);
-                    let depth = s.tx.as_ref().map(|tx| tx.len()).unwrap_or(0);
-                    (core.set.len(), live, suspect, depth)
+                    (core.set.len(), live, suspect, s.shared.inbox.len())
                 };
                 ShardStats {
                     shard: i,
@@ -1255,24 +1234,15 @@ impl ShardRuntime {
 
     /// Blocks until every heartbeat ingested *before this call* has been
     /// applied by its shard worker (dropped heartbeats count as handled).
-    /// Benches and deterministic tests use this as a barrier. It covers
-    /// the QoS trackers too: `applied` advances inside the worker's lock
-    /// hold, and that hold also feeds the pass's heartbeats and
-    /// transitions to the trackers, so a query after the barrier (which
-    /// needs the same lock) sees them.
+    /// Benches and deterministic tests use this as a barrier. It waits,
+    /// shard by shard, on the inbox's `applied` watermark, which the
+    /// worker moves — and which wakes the waiter — when it takes its next
+    /// batch. That take runs under the shard lock after the earlier pass
+    /// fed its heartbeats and transitions to the QoS trackers, so a query
+    /// after the barrier (which needs the same lock) sees them too.
     pub fn flush(&self) {
-        loop {
-            let behind = self.inner.shards.iter().any(|s| {
-                let shared = &s.shared;
-                shared.applied.get() + shared.dropped.get() < shared.received.get()
-            });
-            if !behind {
-                return;
-            }
-            // hotpath:allow(block) — `flush` is a barrier and blocks by
-            // contract (test/bench callers only); the 200 µs poll
-            // bounds each wait, and the worker loop never calls it.
-            thread::sleep(Duration::from_micros(200));
+        for shard in &self.inner.shards {
+            shard.shared.inbox.flush();
         }
     }
 
@@ -1301,13 +1271,8 @@ impl ShardRuntime {
             // hotpath:allow(block) — caller-side sweep: serializes with
             // the worker on the shard mutex by design, holding it for
             // exactly one sweep.
-            shard.shared.core.lock().sweep(now, &mut events);
-            publish(
-                &shard.shared,
-                &self.inner.events_tx,
-                &self.inner.events_dropped,
-                &mut events,
-            );
+            unpoison(shard.shared.core.lock()).sweep(now, &mut events);
+            publish(&shard.shared, &self.inner.events, &mut events);
         }
     }
 }
@@ -1339,13 +1304,15 @@ fn park_duration(
 /// heartbeats queued, in which case no later than the arrival of the
 /// last heartbeat it applied.
 ///
-/// A shard queue is FIFO behind one producer that stamps arrivals in
-/// order, so every heartbeat still queued arrived at or after
-/// `last_applied`. The sweep retires only horizons strictly before its
-/// instant, so whatever it retires had expired before the next queued
-/// heartbeat of its stream arrived — the same `Suspect`, at the same
-/// stamp, that applying that heartbeat would synthesize. Published
-/// earlier, and identical.
+/// This is exact under the inbox's one-producer rule: a shard's
+/// [`Inbox`] is FIFO behind one producer that pushes arrivals in order,
+/// so every heartbeat still queued arrived at or after `last_applied`.
+/// The sweep retires only horizons strictly before its instant, so
+/// whatever it retires had expired before the next queued heartbeat of
+/// its stream arrived — the same `Suspect`, at the same stamp, that
+/// applying that heartbeat would synthesize. Published earlier, and
+/// identical. Nothing enforces the rule; the inbox counts each
+/// heartbeat that breaks it in `twofd_shard_out_of_order_total`.
 fn sweep_horizon(now: Nanos, last_applied: Option<Nanos>, left_queued: bool) -> Nanos {
     match last_applied {
         Some(arrival) if left_queued => now.min(arrival),
@@ -1355,118 +1322,99 @@ fn sweep_horizon(now: Nanos, last_applied: Option<Nanos>, left_queued: bool) -> 
 
 fn shard_worker(
     shared: Arc<ShardShared>,
-    rx: Receiver<Job>,
-    events_tx: Sender<FleetEvent>,
-    events_dropped: Counter,
+    events_out: Arc<Events<FleetEvent>>,
     clock: Arc<dyn TimeSource>,
     sweep_interval: Duration,
 ) {
-    // hotpath:allow(alloc) — worker startup: the event and inbox
+    // hotpath:allow(alloc) — worker startup: the event and batch
     // vectors are allocated once per worker thread and reused (drained,
-    // never dropped) across every pass of the loop below; the inbox
+    // never dropped) across every pass of the loop below; the batch
     // never holds more than the `MAX_BATCH` it is sized for.
     let mut events: Vec<FleetEvent> = Vec::new();
-    // This pass's heartbeats, dequeued in one go. A job received while
-    // parked waits here for the next pass, so it is applied under the
-    // same lock (and before the same sweep) as the rest of its batch.
-    let mut inbox: Vec<Job> = Vec::with_capacity(MAX_BATCH);
+    let mut batch: Vec<Job> = Vec::with_capacity(MAX_BATCH);
     loop {
-        // Read the sweep time *before* draining: anything enqueued before
-        // the clock reached `now` is dequeued first, so a pass that
-        // empties the queue can sweep at `now` without expiring a
-        // horizon that a queued heartbeat extends.
+        // Read the sweep time *before* taking: anything pushed before the
+        // clock reached `now` is taken first, so a pass that empties the
+        // queue can sweep at `now` without expiring a horizon that a
+        // queued heartbeat extends.
         let now = clock.now();
-        let disconnected;
-        let batch;
+        let left;
+        let taken;
         let next_expiry;
         {
             // hotpath:allow(block) — this per-shard mutex IS the
             // shard's designed serialization point: single-writer
             // worker, uncontended except against short control-plane
-            // sections, held for at most MAX_BATCH applies + one sweep
-            // (parking_lot fast path is one CAS when uncontended).
-            let mut core = shared.core.lock();
+            // sections, held for at most MAX_BATCH applies + one sweep.
+            let mut core = unpoison(shared.core.lock());
             // One queue lock per pass, taken under the shard lock so
             // that a caller's `sweep_now` cannot run between a heartbeat
             // leaving the queue and its apply.
-            let room = MAX_BATCH - inbox.len();
-            disconnected = matches!(
-                rx.try_recv_many(&mut inbox, room),
-                Err(TryRecvError::Disconnected)
-            );
-            batch = inbox.len();
+            left = shared.inbox.take(&mut batch, MAX_BATCH);
+            taken = batch.len();
             // Sweep on every pass; one that left heartbeats queued
             // stops at its last applied arrival (`sweep_horizon`).
             // Sweeping at `now` whenever `now ≥ next_expiry` would not
             // be exact: behind a backlog it publishes `Suspect@T` for a
             // stream whose queued heartbeat arrived in time, then
             // `Trust@A` with `A < T` once that heartbeat is applied.
-            let backlog = batch == MAX_BATCH && !rx.is_empty();
-            let stale = core.pass(now, backlog, &mut inbox, &mut events);
-            // One update per pass: the producer and `flush` poll these
+            let backlog = left.is_some_and(|n| n > 0);
+            let stale = core.pass(now, backlog, &mut batch, &mut events);
+            // One update per pass: the producer and scrapes read these
             // lines, so a bump per heartbeat would bounce them per
             // heartbeat.
-            if batch > 0 {
-                shared.applied.add(batch as u64);
+            if taken > 0 {
+                shared.applied.add(taken as u64);
             }
             if stale > 0 {
                 shared.stale.add(stale);
             }
             // Its one consumer is the park below, and only a pass that
             // applied nothing parks: a productive pass lingers instead.
-            next_expiry = if batch == 0 {
+            next_expiry = if taken == 0 {
                 core.set.next_expiry()
             } else {
                 None
             };
         }
-        publish(&shared, &events_tx, &events_dropped, &mut events);
-        if disconnected {
+        publish(&shared, &events_out, &mut events);
+        if left.is_none() {
             return;
         }
-        if batch > 0 {
-            // Just drained a batch: under load the producer refills the
+        if taken > 0 {
+            // Just applied a batch: under load the producer refills the
             // queue within a yield, and picking the next batch up here
             // skips the park/wake context switch entirely. The wait
-            // touches only the queue (never the shard lock, so
-            // it cannot contend with queries or scrapes); if the queue
-            // stays empty the next pass applies nothing, sweeps and
-            // parks.
+            // touches only the queue (never the shard lock, so it cannot
+            // contend with queries or scrapes); if the queue stays empty
+            // the next pass takes nothing — moving the watermark past
+            // this pass — sweeps and parks.
             let mut spins = DRAIN_LINGER;
-            while spins > 0 && rx.is_empty() {
+            while spins > 0 && shared.inbox.is_empty() {
                 thread::yield_now();
                 spins -= 1;
             }
         } else {
-            // Idle: park until the next freshness point — or until an
-            // enqueue wakes us, which is how a fresh batch starts
-            // processing immediately instead of on the next poll tick.
-            // A disconnect while parked falls through to one final pass
-            // (drain + sweep) before the loop observes it and exits.
-            let woken_by = match park_duration(next_expiry, now, sweep_interval) {
-                Some(timeout) => rx.recv_timeout(timeout).ok(),
-                None => rx.recv().ok(),
-            };
-            inbox.extend(woken_by);
+            // Idle: park until the next freshness point — or until a
+            // push wakes us, which is how a fresh batch starts processing
+            // immediately instead of on the next poll tick. A close while
+            // parked ends the park; the next pass drains, sweeps and
+            // exits.
+            shared
+                .inbox
+                .park(park_duration(next_expiry, now, sweep_interval));
         }
     }
 }
 
-fn publish(
-    shared: &ShardShared,
-    events_tx: &Sender<FleetEvent>,
-    events_dropped: &Counter,
-    events: &mut Vec<FleetEvent>,
-) {
+fn publish(shared: &ShardShared, events_out: &Events<FleetEvent>, events: &mut Vec<FleetEvent>) {
     for event in events.drain(..) {
         match event.kind {
             TransitionKind::Trust => shared.to_trust.inc(),
             TransitionKind::Suspect => shared.to_suspect.inc(),
             TransitionKind::Recovered => shared.to_recovered.inc(),
         };
-        if let Err(TrySendError::Full(_)) = events_tx.try_send(event) {
-            events_dropped.inc();
-        }
+        events_out.publish(event);
     }
 }
 
@@ -1655,6 +1603,37 @@ mod tests {
         assert!(stats.dropped() > 0, "{stats:?}");
         // Every heartbeat is accounted for: applied + dropped = received.
         assert_eq!(stats.dropped() + stats.applied(), 10_000);
+        assert_eq!(out_of_order(&rt), 0, "one producer, in arrival order");
+    }
+
+    /// `twofd_shard_out_of_order_total`, summed over shards, read
+    /// through the registry.
+    fn out_of_order(rt: &ShardRuntime) -> u64 {
+        let family = rt
+            .registry()
+            .counter_vec("twofd_shard_out_of_order_total", "", &["shard"]);
+        (0..rt.inner.shards.len())
+            .map(|i| family.with(&[&i.to_string()]).get())
+            .sum()
+    }
+
+    /// Two producers interleaving one stream's arrivals out of order
+    /// break the one-producer rule `sweep_horizon` relies on. The inbox
+    /// counts it, and applies the heartbeats as pushed: never reordered.
+    #[test]
+    fn a_second_producer_out_of_order_is_counted() {
+        let (rt, clock) = runtime_with_manual_clock(1);
+        clock.advance_to(hb(3));
+        for job in [(1, 2, hb(2), 0), (1, 1, hb(1), 0), (1, 3, hb(3), 0)] {
+            thread::scope(|s| {
+                s.spawn(|| rt.ingest_batch(&[job]));
+            });
+        }
+        rt.flush();
+        assert_eq!(out_of_order(&rt), 1);
+        let stats = rt.stats();
+        assert_eq!((stats.received(), stats.applied()), (3, 3));
+        assert_eq!(stats.stale(), 1, "seq 1 applied after seq 2: {stats:?}");
     }
 
     #[test]
@@ -1981,7 +1960,9 @@ mod tests {
     }
 
     fn slot_of(rt: &ShardRuntime, stream: u64) -> Option<u32> {
-        rt.shard_of(stream).shared.core.lock().set.slot_of(&stream)
+        unpoison(rt.shard_of(stream).shared.core.lock())
+            .set
+            .slot_of(&stream)
     }
 
     fn jitter_count(rt: &ShardRuntime) -> u64 {

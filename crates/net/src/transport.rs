@@ -26,9 +26,9 @@
 //! unhealthy.
 
 use crate::intake::{BatchReceiver, BATCH};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use std::io;
 use std::net::UdpSocket;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::time::Duration;
 
 /// Receive half of the heartbeat transport. See the module docs for the
@@ -117,14 +117,14 @@ pub struct SimTransport {
 /// analogue of a full kernel receive buffer.
 #[derive(Clone)]
 pub struct SimSender {
-    tx: Sender<Vec<u8>>,
+    tx: SyncSender<Vec<u8>>,
 }
 
 /// Creates a connected in-memory transport pair with the given inbox
 /// capacity (datagrams beyond it are dropped, like a full UDP receive
 /// buffer).
 pub fn sim_channel(capacity: usize) -> (SimSender, SimTransport) {
-    let (tx, rx) = bounded(capacity.max(1));
+    let (tx, rx) = sync_channel(capacity.max(1));
     (
         SimSender { tx },
         SimTransport {

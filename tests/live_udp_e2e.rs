@@ -336,6 +336,14 @@ fn metrics_endpoint_scrapes_the_live_fleet() {
     ] {
         assert!(body.contains(needle), "missing {needle:?} in:\n{body}");
     }
+    // One producer, the ingest thread, pushes arrivals in order: the
+    // sweep horizon's precondition holds on every shard.
+    let out_of_order: Vec<f64> = body
+        .lines()
+        .filter_map(|l| l.strip_prefix("twofd_shard_out_of_order_total{"))
+        .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+        .collect();
+    assert_eq!(out_of_order, [0.0; 4], "{body}");
 
     let missing = http_get(addr, "/nope");
     assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
