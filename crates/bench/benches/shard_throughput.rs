@@ -39,7 +39,9 @@
 //! Run: `cargo bench -p twofd-bench --bench shard_throughput`
 //! (scale with `TWOFD_BENCH_SAMPLES`, the *total* heartbeat count;
 //! set `TWOFD_BENCH_QUICK=1` for a seconds-long smoke run — the mode
-//! CI uses to keep the bench binary exercised, not a measurement).
+//! CI uses to keep the bench binary exercised, not a measurement; it
+//! writes its scaling matrix under `target/`, never over the tracked
+//! `results/`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -529,12 +531,14 @@ fn scaling_matrix() -> Vec<ScalingCell> {
     cells
 }
 
-/// Emits the scaling matrix as `results/BENCH_scaling.json` at the
-/// workspace root. Hand-rolled writer — the workspace vendors no JSON
+/// Emits the scaling matrix as `BENCH_scaling.json` under the workspace
+/// root's `results/` (`target/` in quick mode). Hand-rolled writer — the workspace vendors no JSON
 /// serializer — with a flat schema so CI and EXPERIMENTS.md can consume
 /// it without tooling.
 fn write_scaling_json(cells: &[ScalingCell]) -> std::io::Result<std::path::PathBuf> {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(if quick() { "target" } else { "results" });
     std::fs::create_dir_all(&dir)?;
     let path = dir.join("BENCH_scaling.json");
     let mut out = String::new();

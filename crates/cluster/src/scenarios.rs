@@ -266,7 +266,7 @@ fn all_streams(config: &ClusterConfig) -> Vec<u64> {
 
 /// No faults: every stream must hold Trust from its first heartbeat to
 /// the horizon with zero suspicions, and meet the QoS contract.
-pub fn steady_state(scale: Scale) -> Scenario {
+fn steady_state(scale: Scale) -> Scenario {
     let duration = Span::from_secs(30);
     let n = scale.pick(16, 64);
     let config = base_config(
@@ -344,7 +344,7 @@ pub fn crash(scale: Scale) -> Scenario {
 /// during the outage and re-trusted after it; the 10 s mistake blows
 /// the contract's 2 s mistake-duration bound, so their verdict must
 /// come back violated.
-pub fn partition_and_heal(scale: Scale) -> Scenario {
+fn partition_and_heal(scale: Scale) -> Scenario {
     let duration = Span::from_secs(40);
     let n = scale.pick(16, 32);
     let cut = (n / 4) as u64;
@@ -399,7 +399,7 @@ pub fn partition_and_heal(scale: Scale) -> Scenario {
 /// goes dark at t=10 s *in that direction only*. Monitor 0 must end
 /// suspecting stream 0 while monitor 1 holds Trust on the identical
 /// heartbeat history — the asymmetric-partition picture.
-pub fn asymmetric_link(scale: Scale) -> Scenario {
+fn asymmetric_link(scale: Scale) -> Scenario {
     let duration = Span::from_secs(30);
     let n = scale.pick(8, 16);
     let senders = (0..n as u64)
@@ -479,7 +479,7 @@ pub fn asymmetric_link(scale: Scale) -> Scenario {
 /// ([`QosOrigin::Auto`]) absorbs the scripted offsets the way the
 /// detector does, so the healthy streams' full QoS verdict is asserted
 /// met (DESIGN.md §15.5's former transitions-only caveat).
-pub fn skewed_clocks(scale: Scale) -> Scenario {
+fn skewed_clocks(scale: Scale) -> Scenario {
     let duration = Span::from_secs(35);
     let n = scale.pick(12, 24);
     let mut senders = fleet(n, |_| LinkSpec::clean(wan(duration)));
@@ -537,7 +537,7 @@ pub fn skewed_clocks(scale: Scale) -> Scenario {
 /// own (staggered) join, so stayers carry a full met verdict; leavers
 /// stay unasserted — their open end-of-run suspicion is justified, but
 /// the tracker cannot know that without a later incarnation bump.
-pub fn mass_churn(scale: Scale) -> Scenario {
+fn mass_churn(scale: Scale) -> Scenario {
     let duration = Span::from_secs(45);
     let n = scale.pick(64, 2048);
     let mut senders = fleet(n, |_| LinkSpec::clean(wan(duration)));
@@ -585,7 +585,7 @@ pub fn mass_churn(scale: Scale) -> Scenario {
 /// 85% loss. The node flaps — repeated suspect/trust cycles — then
 /// recovers to Trust, but the flapping must blow its mistake-rate
 /// contract while every other stream stays clean.
-pub fn brownout(scale: Scale) -> Scenario {
+fn brownout(scale: Scale) -> Scenario {
     let duration = Span::from_secs(60);
     let n = scale.pick(8, 16);
     let config = base_config(
@@ -649,7 +649,7 @@ pub fn brownout(scale: Scale) -> Scenario {
 /// arrive, and — because a justified suspicion closed by a recovery is
 /// *not* a mistake, and the auto-anchored origin re-anchors on the
 /// restart's sequence reset — still report the full QoS contract met.
-pub fn crash_recovery(scale: Scale) -> Scenario {
+fn crash_recovery(scale: Scale) -> Scenario {
     let duration = Span::from_secs(30);
     let n = scale.pick(12, 24);
     let mut senders = fleet(n, |_| LinkSpec::clean(wan(duration)));
@@ -703,7 +703,7 @@ pub fn crash_recovery(scale: Scale) -> Scenario {
 /// included), and hold every stream in Trust through the failover gap
 /// until the fleet re-homes to it at t=20.3 s: continuous detection
 /// across a monitor crash, with zero suspicions on the survivor.
-pub fn monitor_failover(scale: Scale) -> Scenario {
+fn monitor_failover(scale: Scale) -> Scenario {
     let duration = Span::from_secs(30);
     let n = scale.pick(6, 12);
     let kill = Nanos(19_950_000_000);

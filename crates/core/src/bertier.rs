@@ -65,7 +65,7 @@ impl BertierFd {
     }
 
     /// Creates the detector with explicit Jacobson constants.
-    pub fn with_params(window: usize, interval: Span, params: BertierParams) -> Self {
+    fn with_params(window: usize, interval: Span, params: BertierParams) -> Self {
         assert!(params.gamma > 0.0 && params.gamma <= 1.0, "gamma in (0,1]");
         BertierFd {
             estimator: ChenEstimator::new(window, interval),
@@ -78,7 +78,7 @@ impl BertierFd {
     }
 
     /// The current dynamic safety margin Δto, in seconds.
-    pub fn current_margin_secs(&self) -> f64 {
+    fn current_margin_secs(&self) -> f64 {
         (self.params.beta * self.smoothed_error + self.params.phi * self.variability).max(0.0)
     }
 

@@ -46,11 +46,6 @@ impl ChenFd {
     pub fn safety_margin(&self) -> Span {
         self.safety_margin
     }
-
-    /// The next freshness point `τ_{l+1}`, if any heartbeat was seen.
-    pub fn next_freshness_point(&self) -> Option<Nanos> {
-        self.state.decision.map(|d| d.trust_until)
-    }
 }
 
 impl FailureDetector for ChenFd {
@@ -97,7 +92,10 @@ mod tests {
         let d = fd.on_heartbeat(1, arrival(1, 10)).unwrap();
         // EA_2 = 2·Δi + 10 ms; τ_2 = EA_2 + 30 ms.
         assert_eq!(d.trust_until, Nanos(2 * DI.0 + 40_000_000));
-        assert_eq!(fd.next_freshness_point(), Some(d.trust_until));
+        assert_eq!(
+            fd.current_decision().map(|d| d.trust_until),
+            Some(d.trust_until)
+        );
     }
 
     #[test]
@@ -141,9 +139,9 @@ mod tests {
     fn stale_messages_do_not_move_the_freshness_point() {
         let mut fd = ChenFd::new(10, DI, DTO);
         fd.on_heartbeat(5, arrival(5, 10)).unwrap();
-        let tau = fd.next_freshness_point().unwrap();
+        let tau = fd.current_decision().map(|d| d.trust_until).unwrap();
         assert!(fd.on_heartbeat(4, arrival(5, 20)).is_none());
-        assert_eq!(fd.next_freshness_point(), Some(tau));
+        assert_eq!(fd.current_decision().map(|d| d.trust_until), Some(tau));
     }
 
     #[test]

@@ -61,23 +61,6 @@ impl EdFd {
         })
     }
 
-    /// The suspicion level `e_d` at time `now` (Eq. 10); `None` before
-    /// the first heartbeat, 0 before the first inter-arrival sample.
-    pub fn suspicion(&self, now: Nanos) -> Option<f64> {
-        let last = self.last_arrival?;
-        let mean = match self.interarrivals.mean() {
-            Some(m) if m > 0.0 => m,
-            _ => return Some(0.0),
-        };
-        let elapsed = now.saturating_since(last).as_secs_f64();
-        Some(1.0 - (-elapsed / mean).exp())
-    }
-
-    /// The configured threshold exponent κ.
-    pub fn kappa(&self) -> f64 {
-        self.config.kappa
-    }
-
     /// The effective threshold `E = 1 − 10^{−κ}`.
     pub fn threshold(&self) -> f64 {
         1.0 - 10f64.powf(-self.config.kappa)
@@ -165,35 +148,6 @@ mod tests {
             (got - expected).abs() < 1e-6,
             "got {got}, expected {expected}"
         );
-    }
-
-    #[test]
-    fn suspicion_crosses_threshold_at_trust_until() {
-        let kappa = 1.5;
-        let mut fd = warmed_up(kappa);
-        let d = fd.on_heartbeat(201, arrival(201, 10)).unwrap();
-        let e = fd.threshold();
-        let before = fd
-            .suspicion(d.trust_until - Span::from_micros(100))
-            .unwrap();
-        let after = fd
-            .suspicion(d.trust_until + Span::from_micros(100))
-            .unwrap();
-        assert!(before < e);
-        assert!(after >= e * 0.9999);
-    }
-
-    #[test]
-    fn suspicion_monotone_and_bounded() {
-        let fd = warmed_up(1.0);
-        let last = arrival(200, 10);
-        let mut prev = -1.0;
-        for ms in [0u64, 50, 100, 500, 5_000] {
-            let s = fd.suspicion(last + Span::from_millis(ms)).unwrap();
-            assert!(s >= prev);
-            assert!((0.0..=1.0).contains(&s));
-            prev = s;
-        }
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl ChenEstimator {
         Some(self.project(self.offsets.mean()?, l as f64 + 1.0))
     }
 
-    /// Expected arrival of an arbitrary future sequence number.
-    pub fn expected_arrival_of(&self, seq: u64) -> Option<Nanos> {
-        Some(self.project(self.offsets.mean()?, seq as f64))
-    }
-
     /// `mean_offset + seq·Δi` as an instant. `seq` is an `f64` so that
     /// `l + 1` cannot overflow at `l = u64::MAX`; it is exact below 2^53.
     #[inline]
@@ -200,16 +195,6 @@ mod tests {
         // Projection still targets seq 4.
         let ea = e.expected_next_arrival().unwrap();
         assert!(ea > Nanos(4 * DI.0));
-    }
-
-    #[test]
-    fn expected_arrival_of_specific_seq() {
-        let mut e = ChenEstimator::new(10, DI);
-        e.observe(1, Nanos(DI.0 + 7_000_000));
-        assert_eq!(
-            e.expected_arrival_of(10).unwrap(),
-            Nanos(10 * DI.0 + 7_000_000)
-        );
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! neither is in `std` and no math crate is in the approved dependency
 //! set, so both are implemented here:
 //!
-//! * [`erfc`] — complementary error function, Abramowitz & Stegun
+//! * `erfc` — complementary error function, Abramowitz & Stegun
 //!   7.1.26-style rational approximation (|ε| ≤ 1.5·10⁻⁷), continued in
 //!   the far tail by an asymptotic form so probabilities keep shrinking
 //!   monotonically instead of flushing to zero.
-//! * [`normal_cdf`] / [`normal_sf`] — CDF and survival function of
+//! * `normal_cdf` / [`normal_sf`] — CDF and survival function of
 //!   `N(mu, sigma²)`.
 //! * [`inverse_normal_cdf`] — Acklam's rational approximation with one
 //!   Halley refinement step (relative error ≈ 10⁻¹⁵ after refinement).
@@ -19,7 +19,7 @@
 /// Accurate to ~1.5e-7 absolute in the central range and monotone in the
 /// tails; sufficient for suspicion levels, which the paper reads on a
 /// log10 scale.
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     if x < 0.0 {
         return 2.0 - erfc(-x);
     }
@@ -40,7 +40,7 @@ pub fn erfc(x: f64) -> f64 {
 }
 
 /// CDF of the normal distribution `N(mu, sigma^2)` at `x`.
-pub fn normal_cdf(x: f64, mu: f64, sigma: f64) -> f64 {
+fn normal_cdf(x: f64, mu: f64, sigma: f64) -> f64 {
     debug_assert!(sigma > 0.0, "sigma must be positive");
     0.5 * erfc(-(x - mu) / (sigma * core::f64::consts::SQRT_2))
 }
@@ -55,7 +55,7 @@ pub fn normal_sf(x: f64, mu: f64, sigma: f64) -> f64 {
 /// Quantile (inverse CDF) of the standard normal distribution.
 ///
 /// Acklam's rational approximation refined by one Halley step against
-/// [`normal_cdf`]. Valid for `p` in `(0, 1)`.
+/// `normal_cdf`. Valid for `p` in `(0, 1)`.
 ///
 /// # Panics
 /// If `p` is outside `(0, 1)`.

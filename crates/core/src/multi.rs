@@ -47,16 +47,16 @@
 //! wheel bucket it queues the new horizon on.
 //!
 //! Expiries are scheduled on a hierarchical [`crate::wheel::TimingWheel`]
-//! — `O(1)` insert and advance instead of the former binary heap's
-//! `O(log n)` — with the same lazy-deletion contract: every fresh
+//! — `O(1)` insert and advance, where a binary heap costs `O(log n)` —
+//! with a lazy-deletion contract: every fresh
 //! decision enqueues `(slot, generation, trust_until)`, and an entry is
 //! live iff its deadline still equals the stream's current horizon and
 //! its generation matches (recycled slots bump the generation, so a
 //! re-registered stream can never inherit its predecessor's expiries).
 //! [`ProcessSet::next_expiry`] prunes dead entries before reporting, so
-//! the sweeper's park deadline always belongs to a live stream. The
-//! heap-based original is the differential oracle of
-//! `tests/shard_equivalence.rs` (`tests/support/heap_oracle.rs`).
+//! the sweeper's park deadline always belongs to a live stream. A
+//! binary-heap implementation of the same contract is the differential
+//! oracle of `tests/shard_equivalence.rs` (`tests/support/heap_oracle.rs`).
 
 use crate::detector::{Decision, FailureDetector, FdOutput};
 use crate::slab::{HotSlot, StreamSlab};
@@ -469,19 +469,6 @@ where
     /// True when no process is monitored.
     pub fn is_empty(&self) -> bool {
         self.slab.is_empty()
-    }
-
-    /// Total stream slots ever allocated (monitored + recycled). Stable
-    /// under register/deregister churn: vacated slots are reused before
-    /// new ones are minted.
-    pub fn slot_capacity(&self) -> usize {
-        self.slab.capacity()
-    }
-
-    /// Number of expiry entries currently queued on the timing wheel,
-    /// including superseded (dead) ones not yet pruned.
-    pub fn queued_expiries(&self) -> usize {
-        self.wheel.len()
     }
 }
 
@@ -952,7 +939,7 @@ mod tests {
         let mut events = Vec::new();
         s.on_heartbeat_incarnated("a", 0, 1, hb(1), &mut events);
         s.on_heartbeat_incarnated("b", 0, 1, hb(1), &mut events);
-        let baseline_slots = s.slot_capacity();
+        let baseline_slots = s.slab.capacity();
 
         for round in 0..100u64 {
             events.clear();
@@ -973,7 +960,7 @@ mod tests {
         }
 
         assert_eq!(
-            s.slot_capacity(),
+            s.slab.capacity(),
             baseline_slots,
             "churn minted new slots instead of recycling"
         );
@@ -981,9 +968,9 @@ mod tests {
         // have accumulated anywhere near one entry per churn round.
         s.next_expiry();
         assert!(
-            s.queued_expiries() <= 4,
+            s.wheel.len() <= 4,
             "wheel leaked {} entries over churn",
-            s.queued_expiries()
+            s.wheel.len()
         );
         // Exact gauge reconciliation: counts sum to len.
         let (t, su) = s.counts(hb(101));

@@ -58,14 +58,8 @@ impl NetworkEstimator {
 
     /// Estimated delay variance `V(D)` in seconds² (0 before two
     /// samples).
-    pub fn delay_variance(&self) -> f64 {
+    fn delay_variance(&self) -> f64 {
         self.delays.variance().unwrap_or(0.0)
-    }
-
-    /// Estimated mean of `A − S` in seconds — delay **plus clock skew**;
-    /// only meaningful with synchronized clocks.
-    pub fn skewed_delay_mean(&self) -> f64 {
-        self.delays.mean().unwrap_or(0.0)
     }
 
     /// Heartbeats observed so far.
@@ -117,7 +111,6 @@ mod tests {
             feed(&mut e, seq, if seq % 2 == 0 { 10 } else { 30 });
         }
         assert!((e.delay_variance() - 1e-4).abs() < 1e-8);
-        assert!((e.skewed_delay_mean() - 0.020).abs() < 1e-9);
     }
 
     #[test]
@@ -132,8 +125,6 @@ mod tests {
             skewed.observe(seq, send, send + delay + Span::from_secs(3));
         }
         assert!((plain.delay_variance() - skewed.delay_variance()).abs() < 1e-12);
-        // Means differ by the skew, as expected.
-        assert!((skewed.skewed_delay_mean() - plain.skewed_delay_mean() - 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -142,7 +133,6 @@ mod tests {
         // Receiver clock behind the sender: A − S negative.
         let send = Nanos::from_secs(100);
         e.observe(1, send, Nanos::from_secs(99));
-        assert!(e.skewed_delay_mean() < 0.0);
         assert_eq!(e.delay_variance(), 0.0);
     }
 

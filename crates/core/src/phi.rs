@@ -85,7 +85,7 @@ impl PhiAccrualFd {
     }
 
     /// Fitted inter-arrival mean/std-dev in seconds, if any samples.
-    pub fn fit(&self) -> Option<(f64, f64)> {
+    fn fit(&self) -> Option<(f64, f64)> {
         let mean = self.interarrivals.mean()?;
         let std = self
             .interarrivals

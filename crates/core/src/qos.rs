@@ -29,7 +29,6 @@
 
 use std::fmt;
 use twofd_sim::time::Span;
-use twofd_trace::{Trace, TraceStats};
 
 /// An application's QoS requirement tuple `(T_Dᵁ, T_MRᵁ, T_Mᵁ)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,17 +78,6 @@ impl NetworkBehavior {
         NetworkBehavior {
             loss_prob,
             delay_var,
-        }
-    }
-
-    /// Estimates `pL` and `V(D)` from a recorded trace (§V-A.1: count
-    /// missing sequence numbers; take the variance of `A − S`, which is
-    /// skew-independent).
-    pub fn from_trace(trace: &Trace) -> Self {
-        let stats = TraceStats::compute(trace);
-        NetworkBehavior {
-            loss_prob: stats.loss_rate.min(0.999_999),
-            delay_var: stats.delay_var,
         }
     }
 }
@@ -197,7 +185,7 @@ fn log_recurrence_bound(
 /// Below this, "satisfying" a QoS tuple by heartbeating at megahertz
 /// rates is a mathematical artifact, not a deployable configuration —
 /// the paper's Step 1 declares such specs unachievable.
-pub const MIN_INTERVAL_SECS: f64 = 1e-4;
+const MIN_INTERVAL_SECS: f64 = 1e-4;
 
 /// Runs the three-step configuration procedure.
 ///
@@ -409,15 +397,6 @@ mod tests {
         let cfg = configure(&spec(1.0, 1e12, 1.0), &net).unwrap();
         // Mistakes are impossible: the interval goes as high as allowed.
         assert!(cfg.interval.as_secs_f64() > 0.9);
-    }
-
-    #[test]
-    fn from_trace_estimates_behaviour() {
-        use twofd_trace::WanTraceConfig;
-        let trace = WanTraceConfig::small(20_000, 9).generate();
-        let net = NetworkBehavior::from_trace(&trace);
-        assert!(net.loss_prob > 0.0 && net.loss_prob < 0.2);
-        assert!(net.delay_var > 0.0);
     }
 
     #[test]

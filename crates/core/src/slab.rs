@@ -91,7 +91,7 @@ impl HotSlot {
     }
 
     /// Whether the slot currently holds a stream.
-    pub fn occupied(&self) -> bool {
+    fn occupied(&self) -> bool {
         self.flags() & OCCUPIED != 0
     }
 
@@ -164,7 +164,7 @@ impl HotSlot {
     /// published bit is left untouched) when a higher incarnation
     /// resets the stream's detector: the fresh detector has seen no
     /// heartbeat yet, so neither mirror is meaningful.
-    pub fn reset_stream_state(&mut self) {
+    fn reset_stream_state(&mut self) {
         self.trust_until = Nanos::ZERO;
         self.last_seq = 0;
         self.set_flags(self.flags() & !(HAS_DECISION | HAS_SEQ));

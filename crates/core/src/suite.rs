@@ -109,19 +109,6 @@ impl DetectorSpec {
         !matches!(self, DetectorSpec::Bertier { .. })
     }
 
-    /// The meaning of the `tuning` argument to [`DetectorSpec::build`].
-    pub fn tuning_label(&self) -> &'static str {
-        match self {
-            DetectorSpec::Chen { .. }
-            | DetectorSpec::TwoWindow { .. }
-            | DetectorSpec::MultiWindow { .. }
-            | DetectorSpec::Impact { .. } => "Δto (s)",
-            DetectorSpec::Phi { .. } => "Φ",
-            DetectorSpec::Ed { .. } => "κ",
-            DetectorSpec::Bertier { .. } => "(none)",
-        }
-    }
-
     /// A short display name without the tuning value.
     pub fn label(&self) -> String {
         match self {
@@ -269,7 +256,7 @@ pub struct DetectorConfig {
     /// The sender's heartbeat interval Δi.
     pub interval: Span,
     /// The swept knob: Δto in seconds for the Chen family, Φ for φ, κ
-    /// for ED (ignored for Bertier). See [`DetectorSpec::tuning_label`].
+    /// for ED (ignored for Bertier).
     pub tuning: f64,
 }
 
@@ -441,14 +428,6 @@ mod tests {
         };
         let fd = spec.build(DI, 0.05);
         assert_eq!(fd.name(), "mw-fd(1,10,100)");
-        assert_eq!(spec.tuning_label(), "Δto (s)");
-    }
-
-    #[test]
-    fn tuning_labels() {
-        assert_eq!(DetectorSpec::Phi { window: 1 }.tuning_label(), "Φ");
-        assert_eq!(DetectorSpec::Ed { window: 1 }.tuning_label(), "κ");
-        assert_eq!(DetectorSpec::Bertier { window: 1 }.tuning_label(), "(none)");
     }
 
     #[test]
@@ -519,7 +498,6 @@ mod tests {
         let mut fd = spec.build_any(DI, 0.05);
         assert_eq!(fd.name(), "impact(5)");
         assert_eq!(spec.label(), "impact(5)");
-        assert_eq!(spec.tuning_label(), "Δto (s)");
         assert!(spec.has_tuning());
         // Constant timeout: trust for Δi + Δto past the arrival.
         let d = fd.on_heartbeat(1, Nanos(DI.0)).unwrap();

@@ -102,16 +102,6 @@ impl MultiWindowFd {
     pub fn safety_margin(&self) -> Span {
         self.safety_margin
     }
-
-    /// Per-window expected next arrivals (for diagnostics / the window
-    /// sweep experiment).
-    pub fn expected_arrivals(&self) -> Vec<Option<Nanos>> {
-        self.estimators
-            .as_slice()
-            .iter()
-            .map(|e| e.expected_next_arrival())
-            .collect()
-    }
 }
 
 impl FailureDetector for MultiWindowFd {
@@ -187,12 +177,6 @@ impl TwoWindowFd {
         TwoWindowFd::new(1, 1000, interval, safety_margin)
     }
 
-    /// The two window sizes `(n1, n2)`.
-    pub fn window_sizes(&self) -> (usize, usize) {
-        let w = self.0.windows();
-        (w[0], w[1])
-    }
-
     /// The configured safety margin Δto.
     pub fn safety_margin(&self) -> Span {
         self.0.safety_margin()
@@ -239,7 +223,7 @@ mod tests {
     #[test]
     fn paper_default_windows() {
         let fd = TwoWindowFd::paper_default(DI, DTO);
-        assert_eq!(fd.window_sizes(), (1, 1000));
+        assert_eq!(fd.0.windows(), [1, 1000]);
     }
 
     #[test]

@@ -45,7 +45,7 @@
 use twofd_sim::time::Nanos;
 
 /// Log2 of the tick width in nanoseconds: ticks of `2^20` ns ≈ 1.05 ms.
-pub const TICK_SHIFT: u32 = 20;
+const TICK_SHIFT: u32 = 20;
 
 /// Log2 of the slot count per level.
 const LEVEL_BITS: u32 = 6;

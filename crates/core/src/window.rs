@@ -87,11 +87,6 @@ impl<T> RingWindow<T> {
         self.len() == 0
     }
 
-    /// True when at capacity.
-    pub fn is_full(&self) -> bool {
-        self.len() == self.capacity
-    }
-
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -104,22 +99,6 @@ impl<T> RingWindow<T> {
             Samples::Ring(buf) => (None, Some(buf.iter())),
         };
         one.into_iter().chain(ring.into_iter().flatten())
-    }
-
-    /// Most recently pushed sample.
-    pub fn newest(&self) -> Option<&T> {
-        match &self.samples {
-            Samples::One(slot) => slot.as_ref(),
-            Samples::Ring(buf) => buf.back(),
-        }
-    }
-
-    /// Oldest retained sample.
-    pub fn oldest(&self) -> Option<&T> {
-        match &self.samples {
-            Samples::One(slot) => slot.as_ref(),
-            Samples::Ring(buf) => buf.front(),
-        }
     }
 
     /// Drops all samples.
@@ -405,12 +384,10 @@ mod tests {
         assert_eq!(w.push(1), None);
         assert_eq!(w.push(2), None);
         assert_eq!(w.push(3), None);
-        assert!(w.is_full());
+        assert_eq!(w.len(), w.capacity());
         assert_eq!(w.push(4), Some(1));
         assert_eq!(w.push(5), Some(2));
         assert_eq!(w.iter().copied().collect::<Vec<_>>(), vec![3, 4, 5]);
-        assert_eq!(w.oldest(), Some(&3));
-        assert_eq!(w.newest(), Some(&5));
     }
 
     #[test]
@@ -419,7 +396,7 @@ mod tests {
         assert_eq!(w.push("a"), None);
         assert_eq!(w.push("b"), Some("a"));
         assert_eq!(w.len(), 1);
-        assert_eq!(w.newest(), Some(&"b"));
+        assert_eq!(w.iter().copied().collect::<Vec<_>>(), vec!["b"]);
     }
 
     #[test]

@@ -101,7 +101,7 @@ impl std::error::Error for DigestError {}
 
 impl LivenessDigest {
     /// Encoded size of this digest on the wire.
-    pub fn wire_size(&self) -> usize {
+    fn wire_size(&self) -> usize {
         DIGEST_HEADER + self.entries.len() * DIGEST_ENTRY_SIZE
     }
 

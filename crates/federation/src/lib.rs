@@ -12,15 +12,10 @@
 //!   [`Transport`](twofd_net::Transport) seam heartbeats use.
 //! * [`relay`] — the [`Federation`] state machine. Digest arrivals are
 //!   heartbeats of the sending monitor, fed to per-peer detectors
-//!   configured from the service registry's strictest-QoS combination —
-//!   monitors monitor monitors with the same QoS calculus as streams.
+//!   built from the same recipe as stream detectors.
 //!   When a peer dies, its last relayed view is adopted
 //!   ([`Adoption`] → `ShardRuntime::adopt`) so detection of its
 //!   streams continues across the crash.
-//! * [`group`] — the Impact FD's set-valued aggregation
-//!   ([`ImpactGroup`]): per-process impact factors summed over the
-//!   trusted set, accepted against a threshold, computable over a local
-//!   or federated view.
 //!
 //! Everything here is deterministic and clock-free (explicit `now`
 //! parameters), so the whole protocol replays bit-identically inside
@@ -30,14 +25,12 @@
 #![warn(missing_docs)]
 
 pub mod digest;
-pub mod group;
 pub mod relay;
 
 pub use digest::{
     DigestEntry, DigestError, LivenessDigest, DIGEST_ENTRY_SIZE, DIGEST_HEADER, DIGEST_MAGIC,
     DIGEST_VERSION,
 };
-pub use group::{ImpactAssessment, ImpactGroup};
 pub use relay::{Adoption, Federation, FederationConfig};
 
 #[cfg(test)]

@@ -11,11 +11,7 @@
 //! * **Peer detection** — every received digest is a heartbeat of its
 //!   origin: [`Federation::on_digest`] feeds a per-peer
 //!   [`AnyDetector`], built from the same [`DetectorConfig`] recipe as
-//!   stream detectors. The recommended recipe comes from the service
-//!   registry's strictest-QoS combination over every application that
-//!   depends on the peer ([`Federation::register_peer_from_registry`]) —
-//!   the monitors-monitoring-monitors layer obeys the same contracted
-//!   QoS calculus as the streams themselves.
+//!   stream detectors ([`Federation::register_peer`]).
 //! * **Adoption** — when [`Federation::sweep`] finds a peer's detector
 //!   suspecting it, the peer's last relayed view is handed back once as
 //!   an [`Adoption`]; the caller seeds its own runtime from it
@@ -28,12 +24,8 @@
 
 use crate::digest::{DigestEntry, LivenessDigest};
 use std::collections::BTreeMap;
-use twofd_core::{
-    AnyDetector, ConfigError, DetectorConfig, DetectorSpec, FailureDetector, FdOutput,
-    NetworkBehavior, ProcessStatus,
-};
+use twofd_core::{AnyDetector, DetectorConfig, FailureDetector, FdOutput, ProcessStatus};
 use twofd_obs::{Counter, Gauge, Registry};
-use twofd_service::AppRegistry;
 use twofd_sim::time::{Nanos, Span};
 
 /// Identity and cadence of one federated monitor.
@@ -136,33 +128,6 @@ impl Federation {
         );
     }
 
-    /// Registers a peer watched at the strictest QoS any application
-    /// bound to stream id `peer` in `apps` demands: Chen's
-    /// configuration procedure derives `(Δi, Δto)` from that combined
-    /// requirement under `net`, and `spec` picks the algorithm. `None`
-    /// when nothing is bound to the peer's id, `Some(Err(_))` when the
-    /// combined requirement is infeasible under `net`.
-    pub fn register_peer_from_registry(
-        &mut self,
-        peer: u64,
-        apps: &AppRegistry,
-        net: &NetworkBehavior,
-        spec: &DetectorSpec,
-    ) -> Option<Result<(), ConfigError>> {
-        match apps.detector_config_for_stream(peer, net, spec)? {
-            Ok(config) => {
-                self.register_peer(peer, &config);
-                Some(Ok(()))
-            }
-            Err(e) => Some(Err(e)),
-        }
-    }
-
-    /// The registered peers, in id order.
-    pub fn peers(&self) -> Vec<u64> {
-        self.peers.keys().copied().collect()
-    }
-
     /// Whether the digest cadence calls for an emission at `now`.
     pub fn digest_due(&self, now: Nanos) -> bool {
         match self.last_sent {
@@ -262,7 +227,7 @@ impl Federation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twofd_core::QosSpec;
+    use twofd_core::DetectorSpec;
 
     const MS: u64 = 1_000_000;
 
@@ -408,25 +373,5 @@ mod tests {
         assert!(f.on_digest(&d1, Nanos(410 * MS)));
         let adoptions = f.sweep(Nanos(5_000 * MS));
         assert_eq!(adoptions[0].streams[0].trust_until, Nanos(1_100 * MS));
-    }
-
-    #[test]
-    fn registry_strictest_qos_configures_the_peer_detector() {
-        let mut apps = AppRegistry::new();
-        // Two applications depend on monitor 2; the combined requirement
-        // is the componentwise strictest.
-        apps.register_on_stream("lax", QosSpec::new(4.0, 600.0, 2.0), 2);
-        apps.register_on_stream("strict", QosSpec::new(0.8, 3600.0, 0.5), 2);
-        let net = NetworkBehavior::new(0.01, 0.0004);
-        let mut f = federation(1);
-        assert!(f
-            .register_peer_from_registry(2, &apps, &net, &DetectorSpec::default())
-            .expect("apps bound to peer 2")
-            .is_ok());
-        assert_eq!(f.peers(), vec![2]);
-        // Nothing bound to id 3.
-        assert!(f
-            .register_peer_from_registry(3, &apps, &net, &DetectorSpec::default())
-            .is_none());
     }
 }

@@ -217,7 +217,7 @@ impl FleetMonitor {
     }
 
     /// Like [`FleetMonitor::serve_metrics`] on an explicit address.
-    pub fn serve_metrics_on(&self, addr: impl ToSocketAddrs) -> io::Result<MetricsServer> {
+    fn serve_metrics_on(&self, addr: impl ToSocketAddrs) -> io::Result<MetricsServer> {
         let stop = Arc::clone(&self.stop);
         MetricsServer::spawn_with_health(
             addr,

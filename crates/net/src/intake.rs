@@ -39,7 +39,7 @@ pub const BATCH: usize = 64;
 /// Bytes reserved per datagram slot. Heartbeats are
 /// [`crate::wire::WIRE_SIZE`] (32) bytes; the headroom tolerates
 /// future wire versions that append fields (decoders read a prefix).
-pub const DATAGRAM: usize = 64;
+const DATAGRAM: usize = 64;
 
 #[cfg(target_os = "linux")]
 mod linux {
@@ -74,11 +74,11 @@ mod linux {
 
     /// Block until at least one datagram arrives, then also return any
     /// further datagrams already queued, without waiting for more.
-    pub const MSG_WAITFORONE: c_int = 0x10000;
+    pub(super) const MSG_WAITFORONE: c_int = 0x10000;
 
     /// `setsockopt` level/name for the receive buffer size.
-    pub const SOL_SOCKET: c_int = 1;
-    pub const SO_RCVBUF: c_int = 8;
+    pub(super) const SOL_SOCKET: c_int = 1;
+    pub(super) const SO_RCVBUF: c_int = 8;
 
     // SAFETY: these signatures must match the kernel/glibc ABI exactly.
     // `recvmmsg`/`sendmmsg` are in glibc ≥ 2.12 and take (fd, msgvec,
@@ -86,15 +86,20 @@ mod linux {
     // `setsockopt` is POSIX. Callers uphold pointer validity per call
     // site (each has its own SAFETY comment).
     extern "C" {
-        pub fn recvmmsg(
+        pub(super) fn recvmmsg(
             sockfd: c_int,
             msgvec: *mut Mmsghdr,
             vlen: c_uint,
             flags: c_int,
             timeout: *mut c_void,
         ) -> c_int;
-        pub fn sendmmsg(sockfd: c_int, msgvec: *mut Mmsghdr, vlen: c_uint, flags: c_int) -> c_int;
-        pub fn setsockopt(
+        pub(super) fn sendmmsg(
+            sockfd: c_int,
+            msgvec: *mut Mmsghdr,
+            vlen: c_uint,
+            flags: c_int,
+        ) -> c_int;
+        pub(super) fn setsockopt(
             sockfd: c_int,
             level: c_int,
             optname: c_int,
@@ -239,7 +244,7 @@ impl BatchReceiver {
     /// Receives up to [`BATCH`] datagrams in one kernel crossing,
     /// returning how many arrived. Honors the socket's configured read
     /// timeout (`WouldBlock`/`TimedOut` surface as errors, exactly like
-    /// `UdpSocket::recv`). Datagrams longer than [`DATAGRAM`] are
+    /// `UdpSocket::recv`). Datagrams longer than `DATAGRAM` (64) are
     /// truncated, as with `recv` into a short buffer.
     #[cfg(target_os = "linux")]
     pub fn recv_batch(&mut self, socket: &UdpSocket) -> io::Result<usize> {

@@ -1,10 +1,16 @@
 //! The monitoring process `q`: a UDP receiver feeding failure detectors.
 //!
-//! A [`Monitor`] owns a socket and a receive thread. Each valid heartbeat
-//! datagram is timestamped on arrival with the monitor's own clock and
-//! fed to every registered [`FailureDetector`] (one per application in
-//! the shared-service deployment) plus a [`NetworkEstimator`] for
-//! `(pL, V(D))`. Clients query outputs at any time; an [`Events`]
+//! A [`Monitor`] owns a socket and a receive thread and watches one
+//! process: the stream of the first valid heartbeat it hears. Each
+//! heartbeat of that stream is timestamped on arrival with the
+//! monitor's own clock and fed to every registered [`FailureDetector`]
+//! (one per application in the shared-service deployment) plus a
+//! [`NetworkEstimator`] for `(pL, V(D))`; datagrams of any other stream
+//! are rejected, so a second sender can neither keep a crashed process
+//! trusted nor skew the estimate. The model is crash-stop: the
+//! heartbeat's `incarnation` is ignored (the sharded runtime,
+//! [`crate::ShardRuntime`], is the crash-recovery path). Clients query
+//! outputs at any time; an [`Events`]
 //! queue streams Trust/Suspect transitions. The queue is *bounded*: if
 //! no one drains it, transitions beyond its capacity are dropped
 //! (newest-first) and counted in
@@ -21,7 +27,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 use twofd_core::{AnyDetector, DetectorConfig, FailureDetector, FdOutput, NetworkEstimator};
-use twofd_obs::{Counter, Registry};
+use twofd_obs::Counter;
 use twofd_sim::time::Nanos;
 
 /// A Trust/Suspect transition event for one registered detector.
@@ -36,6 +42,8 @@ pub struct TransitionEvent {
 }
 
 struct Inner {
+    /// The monitored stream: the first one heard.
+    stream: Option<u64>,
     /// Inline, statically dispatched detectors — one per registered
     /// spec, in registration order.
     detectors: Vec<AnyDetector>,
@@ -44,11 +52,6 @@ struct Inner {
 }
 
 /// Shared state between the monitor handle and its receive thread.
-///
-/// The counters are free-standing [`Counter`] cells: they cost one
-/// relaxed atomic increment whether or not anyone scrapes them, and
-/// [`Monitor::install_metrics`] can adopt them into a [`Registry`]
-/// after the fact without touching the receive path.
 struct Shared {
     inner: Mutex<Inner>,
     stop: AtomicBool,
@@ -59,7 +62,7 @@ struct Shared {
 }
 
 /// Default capacity of the transition-event channel.
-pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
+const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
 /// Handle to a running heartbeat monitor.
 ///
@@ -73,28 +76,24 @@ pub struct Monitor {
 impl Monitor {
     /// Binds a fresh localhost socket and starts receiving, building one
     /// detector per spec-based recipe (at least one required). The event
-    /// channel holds up to [`DEFAULT_EVENT_CAPACITY`] undrained
+    /// channel holds up to `DEFAULT_EVENT_CAPACITY` (1024) undrained
     /// transitions.
     pub fn spawn(detectors: Vec<DetectorConfig>) -> io::Result<Monitor> {
-        Self::spawn_with_event_capacity(detectors, DEFAULT_EVENT_CAPACITY)
+        Self::spawn_with_clock(
+            detectors,
+            DEFAULT_EVENT_CAPACITY,
+            Arc::new(MonotonicClock::new()),
+        )
     }
 
-    /// Like [`Monitor::spawn`] with an explicit event-channel capacity.
-    /// Transitions that would overflow the channel are dropped and
-    /// counted in [`Monitor::events_dropped`].
-    pub fn spawn_with_event_capacity(
-        detectors: Vec<DetectorConfig>,
-        event_capacity: usize,
-    ) -> io::Result<Monitor> {
-        Self::spawn_with_clock(detectors, event_capacity, Arc::new(MonotonicClock::new()))
-    }
-
-    /// Like [`Monitor::spawn_with_event_capacity`] with an explicit
-    /// [`TimeSource`] stamping arrivals and timing queries — the clock
-    /// seam that lets a deterministic driver put the monitor on a
-    /// virtual time axis. The default constructors pass a fresh
-    /// [`MonotonicClock`] (its own origin, deliberately unsynchronized
-    /// with any sender's, as in the paper).
+    /// Like [`Monitor::spawn`] with an explicit event-channel capacity
+    /// (transitions that would overflow it are dropped and counted in
+    /// [`Monitor::events_dropped`]) and an explicit [`TimeSource`]
+    /// stamping arrivals and timing queries — the clock seam that lets
+    /// a deterministic driver put the monitor on a virtual time axis.
+    /// [`Monitor::spawn`] passes a fresh [`MonotonicClock`] (its own
+    /// origin, deliberately unsynchronized with any sender's, as in the
+    /// paper).
     pub fn spawn_with_clock(
         detectors: Vec<DetectorConfig>,
         event_capacity: usize,
@@ -110,6 +109,7 @@ impl Monitor {
         let n = detectors.len();
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
+                stream: None,
                 detectors,
                 estimator: NetworkEstimator::new(1000),
                 last_outputs: vec![FdOutput::Suspect; n],
@@ -145,11 +145,10 @@ impl Monitor {
                     };
                     let arrival = thread_shared.clock.now();
                     match Heartbeat::decode(&buf[..len]) {
-                        Ok(hb) => {
-                            thread_shared.received.inc();
-                            thread_shared.deliver(hb, arrival);
+                        Ok(hb) if thread_shared.deliver(hb, arrival) => {
+                            thread_shared.received.inc()
                         }
-                        Err(_) => thread_shared.rejected.inc(),
+                        _ => thread_shared.rejected.inc(),
                     }
                 }
             })?;
@@ -191,40 +190,15 @@ impl Monitor {
         unpoison(self.shared.inner.lock()).estimator.behavior()
     }
 
-    /// Valid heartbeats received so far.
+    /// Heartbeats of the monitored stream received so far.
     pub fn received(&self) -> u64 {
         self.shared.received.get()
     }
 
-    /// Malformed datagrams dropped so far.
+    /// Datagrams dropped so far: malformed ones, and heartbeats of any
+    /// stream other than the monitored one.
     pub fn rejected(&self) -> u64 {
         self.shared.rejected.get()
-    }
-
-    /// Exposes this monitor's counters in `registry` under
-    /// `twofd_monitor_received_total`, `twofd_monitor_rejected_total`
-    /// and `twofd_events_dropped_total`. The receive path is untouched:
-    /// the registry adopts the very cells the thread already increments.
-    ///
-    /// # Panics
-    /// If `registry` already holds conflicting families (e.g. from a
-    /// second `install_metrics` call on the same registry).
-    pub fn install_metrics(&self, registry: &Registry) {
-        registry.adopt_counter(
-            "twofd_monitor_received_total",
-            "Valid heartbeats received",
-            &self.shared.received,
-        );
-        registry.adopt_counter(
-            "twofd_monitor_rejected_total",
-            "Malformed datagrams dropped by the receive thread",
-            &self.shared.rejected,
-        );
-        registry.adopt_counter(
-            "twofd_events_dropped_total",
-            "Transition events dropped because the event channel was full",
-            &self.shared.events.dropped,
-        );
     }
 
     /// The stream of Trust/Suspect transitions.
@@ -245,14 +219,21 @@ impl Monitor {
 }
 
 impl Shared {
-    fn deliver(&self, hb: Heartbeat, arrival: Nanos) {
+    /// Feeds `hb` to the estimator and the detectors, pinning its stream
+    /// if it is the first heard. Returns false, having fed nothing, for
+    /// a heartbeat of another stream.
+    fn deliver(&self, hb: Heartbeat, arrival: Nanos) -> bool {
         let mut inner = unpoison(self.inner.lock());
+        if *inner.stream.get_or_insert(hb.stream) != hb.stream {
+            return false;
+        }
         inner.estimator.observe(hb.seq, hb.sent_at, arrival);
         for d in inner.detectors.iter_mut() {
             d.on_heartbeat(hb.seq, arrival);
         }
         drop(inner);
         self.publish_transitions(arrival);
+        true
     }
 
     fn tick(&self) {
@@ -365,22 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn install_metrics_adopts_the_live_counters() {
-        let m = Monitor::spawn(detectors(Span::from_millis(10))).unwrap();
-        let registry = Registry::new();
-        m.install_metrics(&registry);
-        let sock = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
-        sock.send_to(b"garbage", m.local_addr()).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while m.rejected() == 0 && std::time::Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(5));
-        }
-        let text = registry.render();
-        assert!(text.contains("twofd_monitor_rejected_total 1"), "{text}");
-        assert!(text.contains("twofd_monitor_received_total 0"), "{text}");
-    }
-
-    #[test]
     fn malformed_datagrams_are_counted_not_fatal() {
         let m = Monitor::spawn(detectors(Span::from_millis(10))).unwrap();
         let sock = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
@@ -425,7 +390,12 @@ mod tests {
         // Capacity 1 and two detectors: the simultaneous T-transitions on
         // the first heartbeats overflow the channel, which must drop the
         // excess and count it rather than block or grow.
-        let m = Monitor::spawn_with_event_capacity(detectors(Span::from_millis(10)), 1).unwrap();
+        let m = Monitor::spawn_with_clock(
+            detectors(Span::from_millis(10)),
+            1,
+            Arc::new(MonotonicClock::new()),
+        )
+        .unwrap();
         let sock = UdpSocket::bind(("127.0.0.1", 0)).unwrap();
         let clock = MonotonicClock::new();
         for seq in 1..=10u64 {

@@ -1,8 +1,7 @@
 //! Sharded monitor runtime for high-cardinality fleets.
 //!
-//! The original fleet monitor funneled every datagram through a single
-//! `Mutex<ProcessSet>`: one lock serializing ingestion, queries and (had
-//! it existed) expiry sweeping across the whole fleet. This module
+//! One `Mutex<ProcessSet>` for a whole fleet would serialize ingestion,
+//! queries and expiry sweeping across every stream. This module
 //! partitions that state by stream id:
 //!
 //! ```text
@@ -72,8 +71,8 @@
 //!   suspicion is published at the freshness point itself rather than
 //!   up to one poll interval late. `next_expiry` prunes superseded
 //!   wheel entries before reporting, so the park deadline always
-//!   belongs to a live stream — the old lazy heap could report a dead
-//!   horizon and wake the worker for nothing.
+//!   belongs to a live stream and never wakes the worker for a dead
+//!   horizon.
 //!
 //! Because transitions carry exact timestamps (see
 //! [`twofd_core::multi`]), the per-stream event timeline is a pure
@@ -93,16 +92,15 @@
 //!
 //! Every counter the runtime keeps lives in a [`Registry`]
 //! ([`twofd_obs`]): per-shard received/dropped/applied/stale counters
-//! and transition totals are always on (they cost the same relaxed
-//! atomic increment the raw counters used to), a sweep-duration
-//! histogram times every expiry sweep, and a scrape hook fills
-//! queue-depth and live/suspect gauges at exposition time. Two opt-in
-//! extras ride in the shard pass behind [`ObsOptions`]: an
-//! inter-arrival jitter histogram, and per-stream online QoS tracking
-//! ([`twofd_obs::QosTracker`]) fed by the same freshness decisions and
-//! transition events the detectors already produce. [`RuntimeStats`]
-//! remains the programmatic snapshot — it is now a thin view over the
-//! same registry-backed cells that `GET /metrics` renders.
+//! and transition totals are always on (each costs one relaxed atomic
+//! increment), a sweep-duration histogram times every expiry sweep,
+//! and a scrape hook fills queue-depth and live/suspect gauges at
+//! exposition time. Two opt-in extras ride in the shard pass behind
+//! [`ObsOptions`]: an inter-arrival jitter histogram, and per-stream
+//! online QoS tracking ([`twofd_obs::QosTracker`]) fed by the same
+//! freshness decisions and transition events the detectors already
+//! produce. [`RuntimeStats`] is the programmatic snapshot, a thin view
+//! over the same registry-backed cells that `GET /metrics` renders.
 //!
 //! The per-stream part of those extras (last arrival, tracker) is a
 //! `Vec` indexed by the dense slot the [`ProcessSet`] interned the
@@ -222,11 +220,11 @@ pub struct ShardConfig {
     /// re-validating its sweep deadline against the clock. Workers park
     /// on their queue until `min(next_expiry − now, sweep_interval)` —
     /// any enqueue wakes them immediately, and a worker with no pending
-    /// expiry parks until traffic arrives — so this no longer bounds
-    /// processing lag or publication lateness on a live clock (both are
-    /// event-driven now); it only bounds how stale a park can go when
-    /// the clock is driven externally (a [`crate::clock::ManualClock`]
-    /// advanced while the worker sleeps).
+    /// expiry parks until traffic arrives — so on a live clock
+    /// processing lag and publication lateness are event-driven and this
+    /// bounds neither; it bounds how stale a park can go when the clock
+    /// is driven externally (a [`crate::clock::ManualClock`] advanced
+    /// while the worker sleeps).
     pub sweep_interval: Duration,
     /// Capacity of the shared transition-event channel; overflow drops
     /// the newest event and counts it.
@@ -810,21 +808,7 @@ impl ShardRuntime {
     /// # Panics
     /// If `n_shards` or `queue_capacity` is zero.
     pub fn new(config: ShardConfig, clock: Arc<dyn TimeSource>) -> Self {
-        Self::with_registry(config, clock, Registry::new())
-    }
-
-    /// Like [`ShardRuntime::new`], but registers every metric in the
-    /// caller's `registry` (so several components can share one
-    /// exposition endpoint).
-    ///
-    /// # Panics
-    /// If `n_shards` or `queue_capacity` is zero, or if `registry`
-    /// already holds conflicting `twofd_shard_*` families.
-    pub fn with_registry(
-        config: ShardConfig,
-        clock: Arc<dyn TimeSource>,
-        registry: Registry,
-    ) -> Self {
+        let registry = Registry::new();
         assert!(config.n_shards > 0, "need at least one shard");
         assert!(
             config.queue_capacity > 0,

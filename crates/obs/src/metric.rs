@@ -12,8 +12,8 @@
 //! nanosecond-valued observations, the classic HDR-style compromise:
 //! bucket bounds grow geometrically (so the range 1 µs … ~69 s fits in
 //! ~100 buckets) but each power-of-two octave is split into
-//! `2^`[`SUB_BITS`] linear sub-buckets (so relative error is bounded by
-//! `2^-`[`SUB_BITS`] ≈ 25 % everywhere, not by a full octave). Bucket
+//! `2^SUB_BITS` linear sub-buckets (so relative error is bounded by
+//! `2^-SUB_BITS` ≈ 25 % everywhere, not by a full octave). Bucket
 //! indexing is pure bit arithmetic on the value — no search, no float
 //! math — which keeps `observe` cheap enough for per-heartbeat use.
 
@@ -148,13 +148,13 @@ impl Gauge {
 }
 
 /// Linear sub-buckets per power-of-two octave: `2^SUB_BITS`.
-pub const SUB_BITS: u32 = 2;
+const SUB_BITS: u32 = 2;
 /// Smallest resolved octave: values below `2^MIN_EXP` ns (≈1 µs) share
 /// the underflow bucket.
-pub const MIN_EXP: u32 = 10;
+const MIN_EXP: u32 = 10;
 /// Largest resolved octave: values at or above `2^MAX_EXP` ns (≈68.7 s)
 /// share the overflow bucket.
-pub const MAX_EXP: u32 = 36;
+const MAX_EXP: u32 = 36;
 
 const SUBS: usize = 1 << SUB_BITS;
 /// Finite buckets: one underflow + the log-linear grid. The overflow
@@ -208,7 +208,7 @@ impl Histogram {
     /// `[lower, upper)`; [`Histogram::bucket_upper_bounds`] lists the
     /// `upper` bounds (seconds) in index order.
     #[inline]
-    pub fn bucket_index(ns: u64) -> usize {
+    fn bucket_index(ns: u64) -> usize {
         if ns < (1 << MIN_EXP) {
             return 0;
         }

@@ -49,7 +49,7 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use twofd_core::{Decision, FdOutput, QosMetrics, QosSpec, TransitionKind};
+use twofd_core::{Decision, QosMetrics, QosSpec, TransitionKind};
 use twofd_sim::time::{Nanos, Span};
 
 /// How the tracker recovers a heartbeat's send instant `σ(j)` from its
@@ -309,7 +309,7 @@ enum Samples {
 /// sliding window, in constant space per heartbeat.
 ///
 /// Feed it every processed heartbeat ([`QosTracker::on_heartbeat`]) and
-/// every published transition ([`QosTracker::on_transition`]), then ask
+/// every published transition ([`QosTracker::on_transition_kind`]), then ask
 /// for [`QosTracker::metrics_at`] / [`QosTracker::verdict_at`] whenever
 /// a scrape (or a test) wants the current estimates. All methods take
 /// `&mut self`; in the sharded runtime each tracker lives behind its
@@ -450,21 +450,6 @@ impl QosTracker {
         }
     }
 
-    /// Records one published Trust/Suspect transition with crash-stop
-    /// semantics (a restoring Trust closes any open suspicion as a
-    /// mistake). Kind-aware callers should use
-    /// [`QosTracker::on_transition_kind`], which additionally
-    /// understands `Recovered`.
-    pub fn on_transition(&mut self, output: FdOutput, at: Nanos) {
-        self.on_transition_kind(
-            match output {
-                FdOutput::Trust => TransitionKind::Trust,
-                FdOutput::Suspect => TransitionKind::Suspect,
-            },
-            at,
-        );
-    }
-
     /// Records one published transition, crash-recovery aware: a
     /// `Recovered` transition (restart with a bumped incarnation)
     /// closes any open suspicion *without* counting it as a mistake —
@@ -497,11 +482,6 @@ impl QosTracker {
                 self.open_since = None;
             }
         }
-    }
-
-    /// True once at least one heartbeat has been observed.
-    pub fn has_observations(&self) -> bool {
-        self.first_arrival.is_some()
     }
 
     /// The windowed QoS estimates as of `now` — the same
@@ -629,12 +609,12 @@ mod tests {
     fn closed_mistake_counts_toward_rate_and_duration() {
         let mut t = QosTracker::new(QosTrackerConfig::cumulative(Span(SEC)));
         t.on_heartbeat(0, Nanos(0), decision(Nanos(2 * SEC)));
-        t.on_transition(FdOutput::Trust, Nanos(0));
+        t.on_transition_kind(TransitionKind::Trust, Nanos(0));
         // Sweep fires S at the expired freshness point…
-        t.on_transition(FdOutput::Suspect, Nanos(2 * SEC));
+        t.on_transition_kind(TransitionKind::Suspect, Nanos(2 * SEC));
         // …and a late heartbeat restores trust 1 s later.
         t.on_heartbeat(1, Nanos(3 * SEC), decision(Nanos(5 * SEC)));
-        t.on_transition(FdOutput::Trust, Nanos(3 * SEC));
+        t.on_transition_kind(TransitionKind::Trust, Nanos(3 * SEC));
         let m = t.metrics_at(Nanos(4 * SEC));
         assert_eq!(m.mistakes, 1);
         assert!((m.avg_mistake_duration - 1.0).abs() < 1e-12);
@@ -646,7 +626,7 @@ mod tests {
     fn unswept_expiry_is_synthesized_as_censored_tail() {
         let mut t = QosTracker::new(QosTrackerConfig::cumulative(Span(SEC)));
         t.on_heartbeat(0, Nanos(0), decision(Nanos(2 * SEC)));
-        t.on_transition(FdOutput::Trust, Nanos(0));
+        t.on_transition_kind(TransitionKind::Trust, Nanos(0));
         // No sweeper ran, but the freshness point expired at 2 s; a
         // scrape at 3 s must still see 1 s of (censored) suspicion.
         let m = t.metrics_at(Nanos(3 * SEC));
@@ -676,10 +656,10 @@ mod tests {
             origin: QosOrigin::Nominal,
         });
         t.on_heartbeat(0, Nanos(0), decision(Nanos(2 * SEC)));
-        t.on_transition(FdOutput::Trust, Nanos(0));
-        t.on_transition(FdOutput::Suspect, Nanos(2 * SEC));
+        t.on_transition_kind(TransitionKind::Trust, Nanos(0));
+        t.on_transition_kind(TransitionKind::Suspect, Nanos(2 * SEC));
         t.on_heartbeat(3, Nanos(3 * SEC), decision(Nanos(100 * SEC)));
-        t.on_transition(FdOutput::Trust, Nanos(3 * SEC));
+        t.on_transition_kind(TransitionKind::Trust, Nanos(3 * SEC));
         // In-window at 5 s…
         assert_eq!(t.metrics_at(Nanos(5 * SEC)).mistakes, 1);
         // …fully aged out by 20 s (window start 10 s > mistake end 3 s).
@@ -707,10 +687,10 @@ mod tests {
         });
         // An early mistake, then a long quiet run — and never a scrape.
         t.on_heartbeat(0, Nanos(0), decision(Nanos(3 * SEC / 2)));
-        t.on_transition(FdOutput::Trust, Nanos(0));
-        t.on_transition(FdOutput::Suspect, Nanos(3 * SEC / 2));
+        t.on_transition_kind(TransitionKind::Trust, Nanos(0));
+        t.on_transition_kind(TransitionKind::Suspect, Nanos(3 * SEC / 2));
         t.on_heartbeat(2, Nanos(2 * SEC), decision(Nanos(7 * SEC / 2)));
-        t.on_transition(FdOutput::Trust, Nanos(2 * SEC));
+        t.on_transition_kind(TransitionKind::Trust, Nanos(2 * SEC));
         for seq in 3..5_000u64 {
             t.on_heartbeat(
                 seq,
@@ -786,10 +766,10 @@ mod tests {
         // Worst TD = 2 s ⇒ avg TD = 1.5 s > 0.5 s bound. One 1 s
         // mistake in 4 s ⇒ rate 0.25 > 1/100, duration 1 s > 0.1 s.
         t.on_heartbeat(0, Nanos(0), decision(Nanos(2 * SEC)));
-        t.on_transition(FdOutput::Trust, Nanos(0));
-        t.on_transition(FdOutput::Suspect, Nanos(2 * SEC));
+        t.on_transition_kind(TransitionKind::Trust, Nanos(0));
+        t.on_transition_kind(TransitionKind::Suspect, Nanos(2 * SEC));
         t.on_heartbeat(1, Nanos(3 * SEC), decision(Nanos(5 * SEC)));
-        t.on_transition(FdOutput::Trust, Nanos(3 * SEC));
+        t.on_transition_kind(TransitionKind::Trust, Nanos(3 * SEC));
         let v = t.verdict_at(Nanos(4 * SEC));
         assert!(!v.met);
         assert_eq!(

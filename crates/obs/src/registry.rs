@@ -184,38 +184,6 @@ impl Registry {
         }
     }
 
-    /// Exposes an *existing* counter handle under `name` — the adoption
-    /// path for components that keep their own counters (so they work
-    /// unregistered at zero extra cost) but want them scraped once a
-    /// registry is attached.
-    ///
-    /// # Panics
-    /// If `name` already has a child for these label values backed by a
-    /// different cell.
-    pub fn adopt_counter(&self, name: &str, help: &str, counter: &Counter) {
-        self.adopt_counter_with(name, help, &[], &[], counter);
-    }
-
-    /// Labeled variant of [`Registry::adopt_counter`].
-    pub fn adopt_counter_with(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[&str],
-        values: &[&str],
-        counter: &Counter,
-    ) {
-        self.family(name, help, MetricKind::Counter, labels);
-        let mut families = self.families.lock().expect("registry poisoned");
-        let family = families.get_mut(name).expect("family registered");
-        assert_eq!(family.label_names.len(), values.len());
-        let displaced = family.children.insert(
-            values.iter().map(|s| s.to_string()).collect(),
-            Cell::Counter(counter.clone()),
-        );
-        assert!(displaced.is_none(), "metric {name}{values:?} adopted twice");
-    }
-
     /// Registers a scrape hook, run at the start of every
     /// [`Registry::render`] (and therefore on every `/metrics` request)
     /// *before* the exposition lock is taken. Hooks may resolve and set
@@ -362,17 +330,6 @@ mod tests {
     fn invalid_name_panics() {
         let r = Registry::new();
         let _ = r.counter("0bad", "x");
-    }
-
-    #[test]
-    fn adopted_counter_is_the_same_cell() {
-        let r = Registry::new();
-        let free = Counter::new();
-        free.add(7);
-        r.adopt_counter("twofd_adopted_total", "x", &free);
-        free.inc();
-        let rendered = r.render();
-        assert!(rendered.contains("twofd_adopted_total 8"), "{rendered}");
     }
 
     #[test]

@@ -19,8 +19,7 @@
 
 use crate::combine::{combine, CombineError, SharedConfig};
 use crate::registry::AppRegistry;
-use crate::shared::SharedServiceDetector;
-use twofd_core::{DetectorSpec, NetworkEstimator};
+use twofd_core::NetworkEstimator;
 use twofd_sim::delay::{DelayModel, DelaySpec};
 use twofd_sim::event::EventQueue;
 use twofd_sim::loss::{LossModel, LossSpec};
@@ -51,16 +50,6 @@ pub struct AdaptiveRunReport {
     pub delivered: u64,
 }
 
-impl AdaptiveRunReport {
-    /// The interval in force at the end of the run.
-    pub fn final_interval(&self) -> Span {
-        self.reconfigurations
-            .last()
-            .map(|r| r.interval)
-            .expect("at least the initial configuration")
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
     Send,
@@ -71,9 +60,6 @@ enum Event {
 /// Discrete-event simulation of a self-reconfiguring shared service.
 pub struct AdaptiveServiceSim {
     registry: AppRegistry,
-    /// Algorithm every application's detector is built from (via the
-    /// workspace-wide `DetectorSpec` path).
-    spec: DetectorSpec,
     reconfig_period: Span,
     queue: EventQueue<Event>,
     rng: SimRng,
@@ -116,7 +102,6 @@ impl AdaptiveServiceSim {
         };
         Ok(AdaptiveServiceSim {
             registry,
-            spec: DetectorSpec::default(),
             reconfig_period,
             queue: EventQueue::new(),
             rng: SimRng::seed_from_u64(seed),
@@ -141,25 +126,6 @@ impl AdaptiveServiceSim {
     pub fn set_network(&mut self, delay: DelaySpec, loss: LossSpec) {
         self.delay = delay.build();
         self.loss = loss.build();
-    }
-
-    /// Replaces the detector algorithm (default: the paper's
-    /// `2w-fd(1,1000)`). Affects detectors built *after* the call.
-    pub fn with_spec(mut self, spec: DetectorSpec) -> Self {
-        self.spec = spec;
-        self
-    }
-
-    /// The configuration currently in force.
-    pub fn current_config(&self) -> &SharedConfig {
-        &self.current
-    }
-
-    /// Builds the per-application shared detector bank for the
-    /// configuration currently in force — what the monitoring host would
-    /// deploy after adopting it.
-    pub fn shared_detector(&self) -> SharedServiceDetector {
-        SharedServiceDetector::new(&self.current, &self.spec)
     }
 
     /// Runs the simulation until simulated time `until`, returning the
@@ -290,7 +256,7 @@ mod tests {
         assert!(last.delay_var_estimate < 0.001);
         // …so the adopted interval is larger (fewer heartbeats needed).
         assert!(
-            report.final_interval() > report.reconfigurations[0].interval,
+            report.reconfigurations.last().unwrap().interval > report.reconfigurations[0].interval,
             "{:?}",
             report.reconfigurations
         );
@@ -300,12 +266,12 @@ mod tests {
     fn regime_change_tightens_the_configuration() {
         let mut s = sim(2);
         s.run_until(Nanos::from_secs(300));
-        let calm_interval = s.current_config().interval;
+        let calm_interval = s.current.interval;
 
         // The network degrades: more loss, much more delay variance.
         s.set_network(noisy_delay(), LossSpec::Bernoulli { p: 0.08 });
         let report = s.run_until(Nanos::from_secs(900));
-        let stressed_interval = report.final_interval();
+        let stressed_interval = report.reconfigurations.last().unwrap().interval;
         assert!(
             stressed_interval < calm_interval,
             "interval did not tighten: calm {calm_interval}, stressed {stressed_interval}"
@@ -348,30 +314,12 @@ mod tests {
         // Catastrophic loss: most tuples become unachievable; the
         // service must keep heartbeating with the old parameters.
         s.set_network(noisy_delay(), LossSpec::Bernoulli { p: 0.95 });
-        let before = s.current_config().interval;
+        let before = s.current.interval;
         let report = s.run_until(Nanos::from_secs(600));
         assert!(report.sent > 0);
         // Interval still positive and sane.
-        assert!(s.current_config().interval <= before.saturating_mul(4));
-        assert!(!s.current_config().interval.is_zero());
-    }
-
-    #[test]
-    fn shared_detector_tracks_the_current_config() {
-        use twofd_sim::time::Nanos as N;
-        let mut s = sim(11).with_spec(DetectorSpec::Chen { window: 200 });
-        s.run_until(N::from_secs(300));
-        let mut svc = s.shared_detector();
-        assert_eq!(svc.len(), 2);
-        assert_eq!(svc.interval(), s.current_config().interval);
-        // The bank is live: heartbeats at the adopted interval establish
-        // trust for every application.
-        let di = svc.interval();
-        for seq in 1..=3u64 {
-            svc.on_heartbeat(seq, N(seq * di.0) + Span::from_millis(2));
-        }
-        let outs = svc.outputs_at(N(3 * di.0) + Span::from_millis(3));
-        assert!(outs.iter().all(|(_, o)| *o == twofd_core::FdOutput::Trust));
+        assert!(s.current.interval <= before.saturating_mul(4));
+        assert!(!s.current.interval.is_zero());
     }
 
     #[test]

@@ -37,13 +37,6 @@ pub struct AppQosComparison {
     pub shared: QosMetrics,
 }
 
-impl AppQosComparison {
-    /// Whether the shared deployment's mistake rate is no worse.
-    pub fn mistake_rate_improved_or_equal(&self) -> bool {
-        self.shared.mistake_rate <= self.dedicated.mistake_rate + 1e-12
-    }
-}
-
 /// Full analysis output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceAnalysis {
@@ -177,7 +170,7 @@ mod tests {
         let lax = analysis.apps.iter().find(|a| a.name == "lax").unwrap();
         assert!(lax.adapted);
         assert!(
-            lax.mistake_rate_improved_or_equal(),
+            lax.shared.mistake_rate <= lax.dedicated.mistake_rate + 1e-12,
             "shared {} vs dedicated {}",
             lax.shared.mistake_rate,
             lax.dedicated.mistake_rate

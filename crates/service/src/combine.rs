@@ -64,12 +64,6 @@ impl SharedConfig {
             .map(|s| 1.0 / s.dedicated.interval.as_secs_f64())
             .sum()
     }
-
-    /// Network-load reduction factor `dedicated / shared` (≥ 1 whenever
-    /// more than one app is registered; == 1 for a single app).
-    pub fn load_reduction(&self) -> f64 {
-        self.dedicated_rate() / self.shared_rate()
-    }
 }
 
 /// Errors from combining requirements.
@@ -116,7 +110,7 @@ impl std::error::Error for CombineError {}
 /// // One heartbeat stream at the strictest app's interval…
 /// assert!(shared.interval.as_secs_f64() < 0.5);
 /// // …and fewer messages than one detector per app.
-/// assert!(shared.load_reduction() > 1.0);
+/// assert!(shared.dedicated_rate() > shared.shared_rate());
 /// ```
 pub fn combine(
     registry: &AppRegistry,
@@ -195,7 +189,7 @@ mod tests {
         assert_eq!(combined.interval, share.dedicated.interval);
         assert_eq!(share.shared_margin, share.dedicated.safety_margin);
         assert!(!share.adapted);
-        assert!((combined.load_reduction() - 1.0).abs() < 1e-9);
+        assert!((combined.dedicated_rate() / combined.shared_rate() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -247,8 +241,9 @@ mod tests {
             ("b", 2.0, 600.0, 1.0),
             ("c", 4.0, 300.0, 2.0),
         ]);
-        let r2 = combine(&two, &net()).unwrap().load_reduction();
-        let r3 = combine(&three, &net()).unwrap().load_reduction();
+        let reduction = |c: SharedConfig| c.dedicated_rate() / c.shared_rate();
+        let r2 = reduction(combine(&two, &net()).unwrap());
+        let r3 = reduction(combine(&three, &net()).unwrap());
         assert!(r2 > 1.0);
         assert!(r3 > r2);
     }

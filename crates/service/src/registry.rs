@@ -4,12 +4,6 @@
 //! physical host, each with its own QoS requirement tuple, all monitoring
 //! the same remote host through a single shared heartbeat stream.
 //! [`AppRegistry`] holds the applications and their requirements.
-//!
-//! With the sharded fleet runtime one service endpoint multiplexes many
-//! heartbeat streams, so each application additionally *binds* to the
-//! stream id it monitors. The registry can then answer, per stream, the
-//! strictest QoS any bound application demands — which is what the
-//! detector factory needs when a shard instantiates a stream's detector.
 
 use twofd_core::QosSpec;
 
@@ -26,9 +20,6 @@ pub struct AppRequirement {
     pub name: String,
     /// The application's QoS tuple `(T_Dᵁ, T_MRᵁ, T_Mᵁ)`.
     pub qos: QosSpec,
-    /// Wire stream id this application monitors, once bound
-    /// (`None` for apps on the legacy single-stream deployment).
-    pub stream: Option<u64>,
 }
 
 /// The set of applications sharing one failure-detection service.
@@ -52,83 +43,8 @@ impl AppRegistry {
             id,
             name: name.into(),
             qos,
-            stream: None,
         });
         id
-    }
-
-    /// Registers an application already bound to a heartbeat stream.
-    pub fn register_on_stream(
-        &mut self,
-        name: impl Into<String>,
-        qos: QosSpec,
-        stream: u64,
-    ) -> AppId {
-        let id = self.register(name, qos);
-        self.bind_stream(id, stream);
-        id
-    }
-
-    /// Binds (or re-binds) an application to a heartbeat stream; returns
-    /// whether the application exists.
-    pub fn bind_stream(&mut self, id: AppId, stream: u64) -> bool {
-        match self.apps.iter_mut().find(|a| a.id == id) {
-            Some(app) => {
-                app.stream = Some(stream);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The stream an application is bound to, if any.
-    pub fn stream_of(&self, id: AppId) -> Option<u64> {
-        self.get(id).and_then(|a| a.stream)
-    }
-
-    /// All applications bound to `stream`, in registration order.
-    pub fn apps_on_stream(&self, stream: u64) -> Vec<&AppRequirement> {
-        self.apps
-            .iter()
-            .filter(|a| a.stream == Some(stream))
-            .collect()
-    }
-
-    /// The strictest QoS demanded by any application bound to `stream`:
-    /// componentwise minimum of `T_Dᵁ` and `T_Mᵁ`, maximum of `T_MRᵁ`
-    /// (shorter detection/mistake-duration bounds and longer
-    /// mistake-recurrence bounds are all *harder* to satisfy). `None`
-    /// when no application is bound to the stream.
-    pub fn strictest_qos_for_stream(&self, stream: u64) -> Option<QosSpec> {
-        self.apps_on_stream(stream)
-            .into_iter()
-            .map(|a| a.qos)
-            .reduce(|acc, q| QosSpec {
-                detection_time: acc.detection_time.min(q.detection_time),
-                mistake_recurrence: acc.mistake_recurrence.max(q.mistake_recurrence),
-                mistake_duration: acc.mistake_duration.min(q.mistake_duration),
-            })
-    }
-
-    /// The [`DetectorConfig`](twofd_core::DetectorConfig) a shard should
-    /// run for `stream`: the given algorithm `spec` at the `(Δi, Δto)`
-    /// that Chen's configuration procedure derives from the strictest QoS
-    /// any bound application demands under network behaviour `net`.
-    ///
-    /// `None` when no application is bound to the stream;
-    /// `Some(Err(_))` when the strictest requirement is infeasible under
-    /// `net` (Eq. 16 has no solution).
-    pub fn detector_config_for_stream(
-        &self,
-        stream: u64,
-        net: &twofd_core::NetworkBehavior,
-        spec: &twofd_core::DetectorSpec,
-    ) -> Option<Result<twofd_core::DetectorConfig, twofd_core::ConfigError>> {
-        let qos = self.strictest_qos_for_stream(stream)?;
-        Some(
-            twofd_core::configure(&qos, net)
-                .map(|fd_config| twofd_core::DetectorConfig::from_qos(spec.clone(), &fd_config)),
-        )
     }
 
     /// Removes an application; returns whether it existed.
@@ -195,65 +111,6 @@ mod tests {
         r.deregister(a);
         let b = r.register("b", spec(1.0));
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn stream_binding_round_trips() {
-        let mut r = AppRegistry::new();
-        let a = r.register("a", spec(1.0));
-        assert_eq!(r.stream_of(a), None);
-        assert!(r.bind_stream(a, 7));
-        assert_eq!(r.stream_of(a), Some(7));
-        // Re-binding moves the app to the new stream.
-        assert!(r.bind_stream(a, 8));
-        assert_eq!(r.stream_of(a), Some(8));
-        assert!(r.apps_on_stream(7).is_empty());
-        // Unknown app ids are reported, not silently ignored.
-        assert!(!r.bind_stream(AppId(999), 1));
-    }
-
-    #[test]
-    fn apps_on_stream_filters_and_preserves_order() {
-        let mut r = AppRegistry::new();
-        let a = r.register_on_stream("a", spec(1.0), 5);
-        let _b = r.register_on_stream("b", spec(2.0), 6);
-        let c = r.register_on_stream("c", spec(3.0), 5);
-        let on5: Vec<_> = r.apps_on_stream(5).iter().map(|x| x.id).collect();
-        assert_eq!(on5, vec![a, c]);
-    }
-
-    #[test]
-    fn strictest_qos_takes_hardest_component_bounds() {
-        let mut r = AppRegistry::new();
-        r.register_on_stream("fast-detect", QosSpec::new(0.5, 600.0, 2.0), 1);
-        r.register_on_stream("rare-mistakes", QosSpec::new(4.0, 86_400.0, 0.3), 1);
-        let q = r.strictest_qos_for_stream(1).unwrap();
-        assert_eq!(q.detection_time, 0.5);
-        assert_eq!(q.mistake_recurrence, 86_400.0);
-        assert_eq!(q.mistake_duration, 0.3);
-        assert_eq!(r.strictest_qos_for_stream(2), None);
-    }
-
-    #[test]
-    fn detector_config_for_stream_follows_strictest_qos() {
-        use twofd_core::{DetectorSpec, NetworkBehavior};
-        let mut r = AppRegistry::new();
-        r.register_on_stream("lax", QosSpec::new(4.0, 600.0, 2.0), 1);
-        r.register_on_stream("strict", QosSpec::new(0.5, 3600.0, 0.5), 1);
-        let net = NetworkBehavior::new(0.01, 0.02 * 0.02);
-        let spec = DetectorSpec::default();
-
-        let config = r
-            .detector_config_for_stream(1, &net, &spec)
-            .expect("stream 1 has apps")
-            .expect("feasible requirement");
-        assert_eq!(config.spec, spec);
-        // The derived interval must fit inside the strictest detection
-        // budget (Δi ≤ T_D by Eq. 14/15), not the lax app's.
-        assert!(config.interval.as_secs_f64() <= 0.5);
-        assert!(config.tuning >= 0.0);
-
-        assert!(r.detector_config_for_stream(2, &net, &spec).is_none());
     }
 
     #[test]

@@ -9,21 +9,7 @@
 use crate::combine::SharedConfig;
 use crate::registry::AppId;
 use twofd_core::{AnyDetector, Decision, DetectorConfig, DetectorSpec, FailureDetector, FdOutput};
-use twofd_obs::{Counter, Registry};
 use twofd_sim::time::{Nanos, Span};
-
-/// Per-application freshness-point counters, attached by
-/// [`SharedServiceDetector::instrument`].
-struct AppObs {
-    /// Fresh heartbeat whose freshness point lies in the future: the
-    /// heartbeat bought this application a Trust period.
-    hit: Counter,
-    /// Fresh heartbeat that arrived after its own freshness point: the
-    /// application's margin was already spent in transit.
-    miss: Counter,
-    /// Stale (duplicate/reordered) heartbeat, ignored by the detector.
-    stale: Counter,
-}
 
 /// One application's live detector inside the service.
 struct AppDetector {
@@ -31,7 +17,6 @@ struct AppDetector {
     /// Inline spec-built detector: the service has no private
     /// construction path — everything goes through [`DetectorSpec`].
     fd: AnyDetector,
-    obs: Option<AppObs>,
 }
 
 /// The shared failure-detection service endpoint on the monitoring host.
@@ -60,35 +45,11 @@ impl SharedServiceDetector {
                     share.shared_margin.as_secs_f64(),
                 )
                 .build(),
-                obs: None,
             })
             .collect();
         SharedServiceDetector {
             apps,
             interval: config.interval,
-        }
-    }
-
-    /// Attaches per-application freshness-point counters to `registry`
-    /// as `twofd_service_freshness_total{app,result}` with `result` one
-    /// of `hit` (the heartbeat bought a Trust period), `miss` (fresh but
-    /// arrived past its own freshness point — the margin was spent in
-    /// transit) and `stale` (ignored by the detector). A persistent miss
-    /// imbalance on one app is the live signature of an under-provisioned
-    /// `T_D` budget for that app.
-    pub fn instrument(&mut self, registry: &Registry) {
-        let families = registry.counter_vec(
-            "twofd_service_freshness_total",
-            "Per-application freshness-point outcomes of shared-stream heartbeats",
-            &["app", "result"],
-        );
-        for app in &mut self.apps {
-            let label = app.id.0.to_string();
-            app.obs = Some(AppObs {
-                hit: families.with(&[&label, "hit"]),
-                miss: families.with(&[&label, "miss"]),
-                stale: families.with(&[&label, "stale"]),
-            });
         }
     }
 
@@ -98,17 +59,7 @@ impl SharedServiceDetector {
     pub fn on_heartbeat(&mut self, seq: u64, arrival: Nanos) -> Vec<(AppId, Option<Decision>)> {
         self.apps
             .iter_mut()
-            .map(|a| {
-                let decision = a.fd.on_heartbeat(seq, arrival);
-                if let Some(obs) = &a.obs {
-                    match decision {
-                        Some(d) if d.trust_until > arrival => obs.hit.inc(),
-                        Some(_) => obs.miss.inc(),
-                        None => obs.stale.inc(),
-                    }
-                }
-                (a.id, decision)
-            })
+            .map(|a| (a.id, a.fd.on_heartbeat(seq, arrival)))
             .collect()
     }
 
@@ -118,14 +69,6 @@ impl SharedServiceDetector {
             .iter()
             .find(|a| a.id == id)
             .map(|a| a.fd.output_at(t))
-    }
-
-    /// Outputs for every application at time `t`.
-    pub fn outputs_at(&self, t: Nanos) -> Vec<(AppId, FdOutput)> {
-        self.apps
-            .iter()
-            .map(|a| (a.id, a.fd.output_at(t)))
-            .collect()
     }
 
     /// The shared heartbeat interval.
@@ -232,53 +175,9 @@ mod tests {
     }
 
     #[test]
-    fn outputs_at_reports_all_apps() {
-        let (mut svc, _, cfg) = service(&DetectorSpec::default());
-        svc.on_heartbeat(1, Nanos(cfg.interval.0));
-        let outs = svc.outputs_at(Nanos(cfg.interval.0) + Span::from_millis(1));
-        assert_eq!(outs.len(), 2);
-    }
-
-    #[test]
     fn unknown_app_returns_none() {
         let (svc, _, _) = service(&DetectorSpec::default());
         assert_eq!(svc.output_for(AppId(404), Nanos::ZERO), None);
-    }
-
-    #[test]
-    fn instrument_counts_freshness_hits_misses_and_stales() {
-        // Chen averages its arrival estimate over a window, so a wildly
-        // late heartbeat arrives past its own freshness point (a miss);
-        // 2W-FD's width-1 window would adapt instantly and never miss.
-        let (mut svc, _, cfg) = service(&DetectorSpec::Chen { window: 10 });
-        let registry = Registry::new();
-        svc.instrument(&registry);
-        let di = cfg.interval;
-        // On-time heartbeats: every app scores hits.
-        for seq in 1..=5u64 {
-            svc.on_heartbeat(seq, Nanos(seq * di.0) + Span::from_millis(5));
-        }
-        // A duplicate: every app scores a stale.
-        svc.on_heartbeat(5, Nanos(5 * di.0) + Span::from_millis(6));
-        // A heartbeat arriving hours late: fresh (higher seq) but past
-        // its own freshness point for every app — a miss.
-        svc.on_heartbeat(6, Nanos(6 * di.0) + Span::from_secs(3600));
-        let text = registry.render();
-        for (id, _) in svc.outputs_at(Nanos::ZERO) {
-            let app = id.0;
-            assert!(
-                text.contains(&format!(
-                    "twofd_service_freshness_total{{app=\"{app}\",result=\"hit\"}} 5"
-                )),
-                "{text}"
-            );
-            assert!(text.contains(&format!(
-                "twofd_service_freshness_total{{app=\"{app}\",result=\"stale\"}} 1"
-            )));
-            assert!(text.contains(&format!(
-                "twofd_service_freshness_total{{app=\"{app}\",result=\"miss\"}} 1"
-            )));
-        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl SimRng {
     }
 
     /// Uniform in `(0, 1]` — safe as a `ln` argument.
-    pub fn uniform_open(&mut self) -> f64 {
+    fn uniform_open(&mut self) -> f64 {
         1.0 - self.inner.gen::<f64>()
     }
 
@@ -91,14 +91,14 @@ impl SimRng {
     }
 
     /// Normal variate with the given mean and standard deviation.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
+    fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         debug_assert!(std_dev >= 0.0);
         mean + std_dev * self.standard_normal()
     }
 
     /// Log-normal variate parametrised by the *underlying* normal's
     /// `mu` and `sigma` (i.e. `exp(N(mu, sigma^2))`).
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
+    fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
         self.normal(mu, sigma).exp()
     }
 
@@ -109,7 +109,7 @@ impl SimRng {
     }
 
     /// Pareto variate with scale `x_min > 0` and shape `alpha > 0`.
-    pub fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
+    fn pareto(&mut self, x_min: f64, alpha: f64) -> f64 {
         debug_assert!(x_min > 0.0 && alpha > 0.0);
         x_min / self.uniform_open().powf(1.0 / alpha)
     }
@@ -120,7 +120,7 @@ impl SimRng {
 ///
 /// Network delay models are most naturally specified as "mean delay
 /// 120 ms, std dev 40 ms"; this helper performs the standard moment
-/// matching so [`SimRng::log_normal`] produces exactly those moments.
+/// matching so `SimRng::log_normal` produces exactly those moments.
 pub fn log_normal_params(mean: f64, std_dev: f64) -> (f64, f64) {
     assert!(mean > 0.0, "log-normal mean must be positive");
     assert!(std_dev >= 0.0, "log-normal std dev must be non-negative");

@@ -70,12 +70,6 @@ impl NetworkScenario {
         None
     }
 
-    /// `[start, end)` heartbeat range of phase `i`.
-    pub fn phase_range(&self, i: usize) -> (u64, u64) {
-        let start: u64 = self.phases[..i].iter().map(|p| p.heartbeats).sum();
-        (start, start + self.phases[i].heartbeats)
-    }
-
     /// Instantiates the per-phase models into a stateful network.
     pub fn instantiate(&self) -> ScenarioNetwork {
         ScenarioNetwork {
@@ -163,11 +157,8 @@ mod tests {
     }
 
     #[test]
-    fn totals_and_ranges() {
-        let s = two_phase();
-        assert_eq!(s.total_heartbeats(), 150);
-        assert_eq!(s.phase_range(0), (0, 100));
-        assert_eq!(s.phase_range(1), (100, 150));
+    fn totals() {
+        assert_eq!(two_phase().total_heartbeats(), 150);
     }
 
     #[test]

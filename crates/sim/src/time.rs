@@ -28,11 +28,11 @@ pub struct Nanos(pub u64);
 pub struct Span(pub u64);
 
 /// Nanoseconds per microsecond.
-pub const NANOS_PER_MICRO: u64 = 1_000;
+const NANOS_PER_MICRO: u64 = 1_000;
 /// Nanoseconds per millisecond.
-pub const NANOS_PER_MILLI: u64 = 1_000_000;
+const NANOS_PER_MILLI: u64 = 1_000_000;
 /// Nanoseconds per second.
-pub const NANOS_PER_SEC: u64 = 1_000_000_000;
+const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 impl Nanos {
     /// The origin of simulated time.
@@ -72,11 +72,6 @@ impl Nanos {
     /// This instant expressed in fractional milliseconds.
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_MILLI as f64
-    }
-
-    /// Duration since `earlier`, or `None` if `earlier` is in the future.
-    pub fn checked_since(self, earlier: Nanos) -> Option<Span> {
-        self.0.checked_sub(earlier.0).map(Span)
     }
 
     /// Duration since `earlier`, clamped to zero if `earlier` is later.
@@ -125,12 +120,6 @@ impl Span {
         Span((secs * NANOS_PER_SEC as f64).round() as u64)
     }
 
-    /// Builds a span from fractional milliseconds, rounding to the nearest
-    /// nanosecond. Negative inputs clamp to zero.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1e3)
-    }
-
     /// This span in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
@@ -159,12 +148,6 @@ impl Span {
     /// Multiplies by an integer factor, saturating on overflow.
     pub fn saturating_mul(self, k: u64) -> Span {
         Span(self.0.saturating_mul(k))
-    }
-
-    /// Scales by a non-negative float, rounding to the nearest nanosecond.
-    pub fn mul_f64(self, k: f64) -> Span {
-        debug_assert!(k >= 0.0, "span scale factor must be non-negative");
-        Span::from_secs_f64(self.as_secs_f64() * k)
     }
 }
 
@@ -291,7 +274,7 @@ mod tests {
         let t = Nanos::from_secs_f64(1.25);
         assert_eq!(t, Nanos(1_250_000_000));
         assert!((t.as_secs_f64() - 1.25).abs() < 1e-12);
-        let s = Span::from_millis_f64(0.5);
+        let s = Span::from_secs_f64(0.0005);
         assert_eq!(s, Span(500_000));
         assert!((s.as_millis_f64() - 0.5).abs() < 1e-12);
     }
@@ -312,11 +295,9 @@ mod tests {
     }
 
     #[test]
-    fn checked_and_saturating() {
+    fn saturating_arithmetic_clamps() {
         let early = Nanos::from_millis(10);
         let late = Nanos::from_millis(30);
-        assert_eq!(late.checked_since(early), Some(Span::from_millis(20)));
-        assert_eq!(early.checked_since(late), None);
         assert_eq!(early.saturating_since(late), Span::ZERO);
         assert_eq!(early.saturating_sub(Span::from_secs(1)), Nanos::ZERO);
         assert_eq!(Nanos::MAX.saturating_add(Span::from_secs(1)), Nanos::MAX);
@@ -328,7 +309,6 @@ mod tests {
         assert_eq!(s * 3, Span::from_millis(30));
         assert_eq!(s / 2, Span::from_millis(5));
         assert!((Span::from_secs(1) / Span::from_millis(250) - 4.0).abs() < 1e-12);
-        assert_eq!(s.mul_f64(2.5), Span::from_millis(25));
     }
 
     #[test]

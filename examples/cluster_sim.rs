@@ -1,7 +1,8 @@
 //! Runs the scripted cluster-scenario library against the real sharded
 //! monitor runtime in virtual time, prints the QoS verdict table, and
-//! writes `results/BENCH_simcluster.json` with the virtual-time
-//! event rate and wall-clock cost of each scenario.
+//! writes `results/BENCH_simcluster.json` (`target/` in quick mode, so
+//! a smoke run never overwrites the tracked full-scale file) with the
+//! virtual-time event rate and wall-clock cost of each scenario.
 //!
 //! ```sh
 //! cargo run --release --example cluster_sim            # full fleets
@@ -130,7 +131,9 @@ fn main() {
     writeln!(json, "  ]").unwrap();
     writeln!(json, "}}").unwrap();
 
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/BENCH_simcluster.json");
+    let out = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join(if quick { "target" } else { "results" })
+        .join("BENCH_simcluster.json");
     std::fs::write(&out, &json).expect("write bench artifact");
     println!("wrote {}", out.display());
 

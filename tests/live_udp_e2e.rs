@@ -1,11 +1,12 @@
 //! End-to-end test over real UDP: sender and monitor on loopback, crash
 //! injection, detection within the expected window.
 
+use std::net::UdpSocket;
 use std::thread::sleep;
 use std::time::{Duration, Instant};
 use twofd::core::{DetectorConfig, DetectorSpec, FdOutput};
-use twofd::net::{HeartbeatSender, Monitor};
-use twofd::sim::Span;
+use twofd::net::{Heartbeat, HeartbeatSender, Monitor};
+use twofd::sim::{Nanos, Span};
 
 fn spawn_pair(interval: Span, margin: Span) -> (HeartbeatSender, Monitor) {
     let tuning = margin.as_secs_f64();
@@ -60,6 +61,57 @@ fn trust_is_established_then_crash_is_detected() {
         detection < Duration::from_secs(1),
         "detection took {detection:?}"
     );
+}
+
+/// A `Monitor` watches the first stream it hears. A second sender aimed
+/// at it must not keep the first one trusted after it crashes: its
+/// heartbeats are rejected, not fed to the detectors.
+#[test]
+fn a_second_stream_cannot_keep_a_crashed_process_trusted() {
+    let interval = Span::from_millis(10);
+    let (sender, monitor) = spawn_pair(interval, Span::from_millis(50));
+    // `spawn_pair`'s sender may not have beaten yet: pin stream 1 by hand.
+    let first = Heartbeat {
+        stream: 1,
+        seq: 0,
+        sent_at: Nanos::ZERO,
+        incarnation: 0,
+    };
+    let socket = UdpSocket::bind(("127.0.0.1", 0)).expect("bind");
+    socket
+        .send_to(&first.encode(), monitor.local_addr())
+        .expect("send");
+    let other = HeartbeatSender::spawn(2, interval, monitor.local_addr()).expect("spawn sender");
+    assert!(
+        wait_for(
+            || monitor.outputs().iter().all(|o| *o == FdOutput::Trust),
+            Duration::from_secs(3)
+        ),
+        "detectors never started trusting"
+    );
+
+    sender.crash();
+    let crash_instant = Instant::now();
+    let rejected_at_crash = monitor.rejected();
+    assert!(
+        wait_for(
+            || monitor.outputs().iter().all(|o| *o == FdOutput::Suspect),
+            Duration::from_secs(1)
+        ),
+        "crash of the monitored stream hidden by stream 2's heartbeats"
+    );
+    let detection = crash_instant.elapsed();
+    assert!(
+        detection < Duration::from_secs(1),
+        "detection took {detection:?}"
+    );
+    // Stream 2 kept sending throughout, and each of its heartbeats was
+    // rejected.
+    assert!(wait_for(
+        || monitor.rejected() > rejected_at_crash,
+        Duration::from_secs(1)
+    ));
+    assert!(other.sent() > 0);
 }
 
 #[test]

@@ -7,10 +7,11 @@
 //!   code tokens instead of substring matches.
 //! - [`config`] — `analyze.toml`: lint scopes, the unified
 //!   justification lookback window, and the suppression baseline.
-//! - [`lints`] — the [`lints::Lint`] trait and the eight-rule
+//! - [`lints`] — the [`lints::Lint`] trait and the nine-rule
 //!   catalogue (SAFETY comments, unsafe isolation, wall-clock ban,
 //!   atomic-ordering allowlist, hot-path panic freedom, allocation
-//!   discipline, blocking-call ban, atomic release/acquire pairing).
+//!   discipline, blocking-call ban, atomic release/acquire pairing,
+//!   dead public surface).
 //! - [`engine`] — file collection, per-file context construction,
 //!   catalogue execution, baseline partitioning.
 //! - [`report`] — `text` / `json` / `sarif` rendering.

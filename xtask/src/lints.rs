@@ -1,4 +1,4 @@
-//! The lint catalogue: a [`Lint`] trait and the eight rules the engine
+//! The lint catalogue: a [`Lint`] trait and the nine rules the engine
 //! enforces (DESIGN.md §17 is the narrative version).
 //!
 //! Every lint runs on the lexed views of [`crate::lex`] — code with
@@ -18,14 +18,17 @@
 //! | `hotpath-alloc`      | `scopes.hot_path`        | `hotpath:allow(alloc)` |
 //! | `blocking-call`      | `scopes.blocking`        | `hotpath:allow(block)` |
 //! | `atomic-pairing`     | src dirs minus exempt    | `xtask:allow(one_sided)` |
+//! | `dead-pub`           | the eight library crates | `xtask:allow(dead_pub)` |
 //!
 //! Lines past the first `#[cfg(test)]` in a file are test code and
 //! exempt from everything except `safety-comment` and
 //! `unsafe-isolation` (unsoundness is unsoundness, in tests too).
+//! `dead-pub` indexes no item there, and a use there counts only when
+//! it is in another file.
 
 use crate::config::{in_scope, Config};
 use crate::lex::{LineView, Token};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One lint violation.
 #[derive(Debug, Clone)]
@@ -71,7 +74,7 @@ impl FileContext {
 }
 
 /// A single rule. Per-file rules implement [`Lint::check_file`];
-/// cross-file rules (the atomic-pairing pass) implement
+/// cross-file rules (atomic pairing, dead public surface) implement
 /// [`Lint::check_workspace`], which runs once with every file context.
 pub trait Lint {
     /// Stable name, used in reports, SARIF rule ids and baseline entries.
@@ -95,6 +98,7 @@ pub fn all_lints() -> Vec<Box<dyn Lint>> {
         Box::new(HotPathAlloc),
         Box::new(BlockingCall),
         Box::new(AtomicPairing),
+        Box::new(DeadPub),
     ]
 }
 
@@ -151,7 +155,7 @@ fn in_ordering_scope(cfg: &Config, rel: &str) -> bool {
             .any(|p| rel.starts_with(p.trim_end_matches('/')))
 }
 
-// ---------------------------------------------------------------- 1/8
+// ---------------------------------------------------------------- 1/9
 
 /// Every `unsafe` site carries a `SAFETY:` justification.
 pub struct SafetyComment;
@@ -179,7 +183,7 @@ impl Lint for SafetyComment {
     }
 }
 
-// ---------------------------------------------------------------- 2/8
+// ---------------------------------------------------------------- 2/9
 
 /// Crate roots forbid/deny `unsafe_code`; `unsafe` tokens appear only
 /// in the configured `unsafe_allowed` files.
@@ -234,7 +238,7 @@ impl Lint for UnsafeIsolation {
     }
 }
 
-// ---------------------------------------------------------------- 3/8
+// ---------------------------------------------------------------- 3/9
 
 /// No wall-clock reads in the declared deterministic scopes: hot paths
 /// route through the shard clock, the core layer is a pure function of
@@ -274,7 +278,7 @@ impl Lint for WallClock {
     }
 }
 
-// ---------------------------------------------------------------- 4/8
+// ---------------------------------------------------------------- 4/9
 
 /// `Ordering::Relaxed` needs a written `ordering:` justification;
 /// `Ordering::SeqCst` is banned outright (the last use — the clock
@@ -347,7 +351,7 @@ impl Lint for AtomicOrdering {
     }
 }
 
-// ---------------------------------------------------------------- 5/8
+// ---------------------------------------------------------------- 5/9
 
 /// Hot-path panic freedom: a hidden panic in the per-heartbeat path
 /// turns one malformed input into a dead shard worker and a fleet of
@@ -405,7 +409,7 @@ impl Lint for HotPathPanic {
     }
 }
 
-// ---------------------------------------------------------------- 6/8
+// ---------------------------------------------------------------- 6/9
 
 /// Allocation discipline: the per-heartbeat path must not allocate —
 /// an allocator call is an unbounded-latency excursion (lock, page
@@ -458,7 +462,7 @@ impl Lint for HotPathAlloc {
     }
 }
 
-// ---------------------------------------------------------------- 7/8
+// ---------------------------------------------------------------- 7/9
 
 /// Blocking-call ban in the shard-worker/sweep scope: a sleep or a
 /// contended mutex inside the worker loop stretches sweep tail latency
@@ -505,7 +509,7 @@ impl Lint for BlockingCall {
     }
 }
 
-// ---------------------------------------------------------------- 8/8
+// ---------------------------------------------------------------- 8/9
 
 /// Cross-file atomic release/acquire pairing: a `Release` store whose
 /// field is never `Acquire`-loaded (or vice versa) publishes to — or
@@ -671,6 +675,130 @@ impl Lint for AtomicPairing {
                          justification, or mark `// xtask:allow(one_sided)` naming \
                          the pairing site)"
                     ),
+                });
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------- 9/9
+
+/// Dead public surface: a `pub fn`/`pub const`/`pub static` of a
+/// library crate that no other file names. rustc's `dead_code` never
+/// fires on a `pub` item of a library, and every module here is
+/// `pub mod`, so `unreachable_pub` is silent too.
+pub struct DeadPub;
+
+/// The library crates whose `pub` items are indexed.
+const LIBRARY_CRATES: &[&str] = &[
+    "core",
+    "net",
+    "obs",
+    "service",
+    "sim",
+    "trace",
+    "federation",
+    "cluster",
+];
+
+fn in_library_src(rel: &str) -> bool {
+    LIBRARY_CRATES.iter().any(|c| {
+        rel.strip_prefix("crates/")
+            .and_then(|r| r.strip_prefix(c))
+            .is_some_and(|r| r.starts_with("/src/"))
+    })
+}
+
+/// Keywords that may stand between `pub` and `fn` (`extern "C"`'s
+/// blanked literal tokenizes as two `"`).
+const FN_QUALIFIERS: &[&str] = &["const", "async", "unsafe", "extern", "\""];
+
+/// The `pub fn`/`pub const`/`pub static` items in `ctx`'s production
+/// code, as token indices of their names. `pub(…)` is not `pub`.
+fn pub_items(ctx: &FileContext) -> Vec<usize> {
+    let toks = &ctx.tokens;
+    let text = |j: usize| toks.get(j).map_or("", |t| t.text.as_str());
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        if toks[i].line > ctx.production_end {
+            break;
+        }
+        if text(i) != "pub" || text(i + 1) == "(" {
+            continue;
+        }
+        let mut j = i + 1;
+        while FN_QUALIFIERS.contains(&text(j))
+            && (text(j + 1) == "fn" || FN_QUALIFIERS.contains(&text(j + 1)))
+        {
+            j += 1;
+        }
+        let name_at = match (text(j), text(j + 1)) {
+            ("static", "mut") => j + 2,
+            ("fn" | "const" | "static", _) => j + 1,
+            _ => continue,
+        };
+        if toks.get(name_at).is_some_and(|t| t.is_ident) {
+            out.push(name_at);
+        }
+    }
+    out
+}
+
+/// Whether token `i` is the name in a definition (`fn name`,
+/// `const name`, `static name`), which is not a use.
+fn is_definition(toks: &[Token], i: usize) -> bool {
+    i > 0 && matches!(toks[i - 1].text.as_str(), "fn" | "const" | "static" | "mut")
+}
+
+impl Lint for DeadPub {
+    fn name(&self) -> &'static str {
+        "dead-pub"
+    }
+    fn description(&self) -> &'static str {
+        "a library `pub` fn/const/static must be named in some other file, or not be `pub`"
+    }
+    fn check_workspace(&self, files: &[FileContext], cfg: &Config, out: &mut Vec<Finding>) {
+        // Every identifier in each file's code view, tests included.
+        let words: Vec<BTreeSet<&str>> = files
+            .iter()
+            .map(|f| {
+                f.tokens
+                    .iter()
+                    .filter(|t| t.is_ident)
+                    .map(|t| t.text.as_str())
+                    .collect()
+            })
+            .collect();
+        for (idx, ctx) in files.iter().enumerate() {
+            if !in_library_src(&ctx.rel) {
+                continue;
+            }
+            for name_at in pub_items(ctx) {
+                let name = ctx.tokens[name_at].text.as_str();
+                let line = ctx.tokens[name_at].line - 1;
+                let used_elsewhere = words
+                    .iter()
+                    .enumerate()
+                    .any(|(other, w)| other != idx && w.contains(name));
+                if used_elsewhere || ctx.justified(line, "xtask:allow(dead_pub)", cfg.lookback) {
+                    continue;
+                }
+                let used_here = ctx.tokens.iter().enumerate().any(|(i, t)| {
+                    t.line <= ctx.production_end && t.text == name && !is_definition(&ctx.tokens, i)
+                });
+                let message = if used_here {
+                    format!("`{name}` is `pub` but named only in this file: drop the `pub`")
+                } else {
+                    format!(
+                        "`{name}` is `pub` but nothing outside this file's tests names it: \
+                         delete it (or mark `// xtask:allow(dead_pub)` with why it stays)"
+                    )
+                };
+                out.push(Finding {
+                    file: ctx.rel.clone(),
+                    line: line + 1,
+                    lint: self.name(),
+                    message,
                 });
             }
         }
@@ -1001,5 +1129,39 @@ mod tests {
         assert!(run_pairing(&[("crates/net/src/s.rs", test_only)]).is_empty());
         let in_check = "fn f(s: &S) { s.x.store(1, Ordering::Release); }\n";
         assert!(run_pairing(&[("crates/check/src/engine.rs", in_check)]).is_empty());
+    }
+
+    fn run_dead_pub(files: &[(&str, &str)]) -> Vec<Finding> {
+        let ctxs: Vec<FileContext> = files.iter().map(|(r, s)| ctx_for(r, s)).collect();
+        let mut out = Vec::new();
+        DeadPub.check_workspace(&ctxs, &test_cfg(), &mut out);
+        out
+    }
+
+    #[test]
+    fn dead_pub_tells_dead_from_file_private() {
+        let lib = "pub fn dead() {}\npub fn local() {}\nfn f() { local(); }\n\
+                   #[cfg(test)]\nmod tests { fn t() { super::dead(); } }\n";
+        let got = run_dead_pub(&[("crates/sim/src/x.rs", lib)]);
+        assert_eq!(got.len(), 2, "{got:?}");
+        assert!(got[0].message.contains("delete it"), "{}", got[0].message);
+        assert!(
+            got[1].message.contains("drop the `pub`"),
+            "{}",
+            got[1].message
+        );
+    }
+
+    #[test]
+    fn dead_pub_indexes_only_library_production_code() {
+        let src = "pub fn lonely() {}\n";
+        for rel in ["crates/bench/src/x.rs", "xtask/src/x.rs", "src/lib.rs"] {
+            assert!(run_dead_pub(&[(rel, src)]).is_empty(), "{rel}");
+        }
+        let test_only = "#[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n";
+        assert!(run_dead_pub(&[("crates/core/src/x.rs", test_only)]).is_empty());
+        // A use in another file's tests is a use.
+        let user = "#[cfg(test)]\nmod tests { fn t() { lonely(); } }\n";
+        assert!(run_dead_pub(&[("crates/core/src/x.rs", src), ("tests/t.rs", user)]).is_empty());
     }
 }

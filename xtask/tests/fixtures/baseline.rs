@@ -3,6 +3,6 @@
 // Fixture: suppression baseline — the finding is absorbed (reported as
 // baselined, not failing), and the entry is not stale.
 
-pub fn debt(x: Option<u32>) {
+fn debt(x: Option<u32>) {
     let v = x.unwrap();
 }

@@ -2,16 +2,16 @@
 // Fixture: blocking-call — fire on sleep and lock, allow with a bound,
 // and ignore Mutex construction.
 
-pub fn fire(m: &Mutex<u32>) {
+fn fire(m: &Mutex<u32>) {
     thread::sleep(Duration::from_millis(1));
     let g = m.lock();
 }
 
-pub fn allowed(m: &Mutex<u32>) {
+fn allowed(m: &Mutex<u32>) {
     // hotpath:allow(block) — fixture: uncontended, O(1) section.
     let g = m.lock();
 }
 
-pub fn construction() {
+fn construction() {
     let m = Mutex::new(0);
 }

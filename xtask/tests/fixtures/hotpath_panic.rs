@@ -2,16 +2,16 @@
 // Fixture: hotpath-panic — fire on unwrap and panic!, allow with a
 // written invariant, and ignore lookalikes.
 
-pub fn fire(x: Option<u32>) {
+fn fire(x: Option<u32>) {
     let v = x.unwrap();
     panic!("boom");
 }
 
-pub fn allowed(x: Option<u32>) {
+fn allowed(x: Option<u32>) {
     // hotpath:allow(panic) — fixture: invariant makes None impossible.
     let v = x.unwrap();
 }
 
-pub fn lookalikes(x: Option<u32>) {
+fn lookalikes(x: Option<u32>) {
     let v = x.unwrap_or(0);
 }

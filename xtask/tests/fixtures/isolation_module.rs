@@ -2,7 +2,7 @@
 // Fixture: unsafe-isolation — `unsafe` outside the designated boundary
 // fires even when the SAFETY comment is present.
 
-pub fn fire() {
+fn fire() {
     // SAFETY: justified, but still in the wrong module.
     let p = unsafe { danger() };
 }

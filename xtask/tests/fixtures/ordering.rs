@@ -4,20 +4,20 @@
 // comments or string literals. (The marker itself is deliberately not
 // spelled in this header: it would justify the lines below.)
 
-pub fn fire_relaxed(a: &AtomicU64) {
+fn fire_relaxed(a: &AtomicU64) {
     a.load(Ordering::Relaxed);
 }
 
-pub fn allowed_relaxed(a: &AtomicU64) {
+fn allowed_relaxed(a: &AtomicU64) {
     // ordering: fixture — single stat cell, no cross-cell invariant.
     a.load(Ordering::Relaxed);
 }
 
-pub fn fire_seqcst(a: &AtomicU64) {
+fn fire_seqcst(a: &AtomicU64) {
     a.store(1, Ordering::SeqCst);
 }
 
 /// Doc prose naming `Ordering::SeqCst` is not a use.
-pub fn doc_only() {
+fn doc_only() {
     let s = "Ordering::SeqCst";
 }

@@ -3,12 +3,12 @@
 // `orphan` has no acquire side anywhere and fires, and `waived`
 // carries the one-sided waiver.
 
-pub fn publish(s: &S) {
+fn publish(s: &S) {
     s.ready.store(true, Ordering::Release);
     s.orphan.store(true, Ordering::Release);
 }
 
-pub fn waived(s: &S) {
+fn waived(s: &S) {
     // xtask:allow(one_sided) — fixture: the acquire side lives behind
     // a helper the static pass cannot attribute.
     s.waived.store(true, Ordering::Release);

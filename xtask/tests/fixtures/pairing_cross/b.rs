@@ -1,6 +1,6 @@
 //@ path: crates/net/src/pair_b.rs
 // Second half of the pairing corpus: the acquire side of `ready`.
 
-pub fn consume(s: &S) -> bool {
+fn consume(s: &S) -> bool {
     s.ready.load(Ordering::Acquire)
 }

@@ -3,15 +3,15 @@
 // string-literal regression (satellite: `unsafe` in a string must not
 // count as an unsafe site).
 
-pub fn fire() {
+fn fire() {
     let p = unsafe { danger() };
 }
 
-pub fn allowed() {
+fn allowed() {
     // SAFETY: `danger` has no preconditions in this fixture.
     let p = unsafe { danger() };
 }
 
-pub fn in_string() {
+fn in_string() {
     let s = "unsafe";
 }

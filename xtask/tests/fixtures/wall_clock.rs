@@ -3,17 +3,17 @@
 // both clock reads, honors the allow marker, and skips string literals
 // and test code.
 
-pub fn fire() {
+fn fire() {
     let t = std::time::Instant::now();
     let u = std::time::SystemTime::now();
 }
 
-pub fn allowed() {
+fn allowed() {
     // xtask:allow(wall_clock) — fixture: measuring only.
     let t = std::time::Instant::now();
 }
 
-pub fn in_string() {
+fn in_string() {
     let s = "Instant::now()";
 }
 

@@ -159,8 +159,8 @@ fn golden_fixtures_match_expected_findings() {
     // Every lint's fire and allow path lives somewhere in the corpus;
     // a refactor that silently drops fixtures should fail loudly.
     assert!(
-        corpora >= 9,
-        "expected at least 9 fixture corpora, found {corpora}"
+        corpora >= 10,
+        "expected at least 10 fixture corpora, found {corpora}"
     );
 }
 
